@@ -10,6 +10,12 @@ cargo build --release
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
+echo "== benchmark self-tests =="
+# perfbench is a package of its own, outside the workspace: compare
+# mode, the metric catalog against BENCHMARK.json, statistics, JSON and
+# spans.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== kmeans kernel perf gate (quick) =="
 # Fails on any kernel/pruning/threading mismatch or when the pruned
 # kernel regresses past 2x the seed reference on the reduced cohort.

@@ -31,6 +31,13 @@
 //! loop over K, and every evaluation gets the *whole* budget at the row
 //! level instead.
 //!
+//! Either way the sweep presorts the matrix once ([`Presorted`]) before
+//! evaluating any K, when the robustness classifier is a tree. Every K
+//! clusters the same matrix, so the K workers, or the serial loop,
+//! borrow that one presort read-only, and every fold of every K's tree
+//! cross-validation trains on it through a row mask: no K re-sorts and
+//! no fold copies rows.
+//!
 //! Determinism: the kernel reduces per-chunk partials in a fixed chunk
 //! order, so the report is byte-identical for every `thread_budget`
 //! value and for the serial fallback — the knob (like `parallel`
@@ -40,7 +47,7 @@ use ada_metrics::cluster;
 use ada_mining::bayes::GaussianNb;
 use ada_mining::kmeans::{KMeans, KMeansBackend};
 use ada_mining::knn::KnnClassifier;
-use ada_mining::tree::{DecisionTree, TreeConfig};
+use ada_mining::tree::{Presorted, TreeConfig};
 use ada_mining::validate;
 use ada_vsm::DenseMatrix;
 use serde::{Deserialize, Serialize};
@@ -209,16 +216,32 @@ impl Optimizer {
     /// level (a standalone evaluation has no sibling workers to share
     /// with).
     pub fn evaluate_k(&self, matrix: &DenseMatrix, k: usize) -> KEvaluation {
-        self.evaluate_k_with_threads(matrix, k, self.resolved_budget(), &RunControl::new())
+        let presort = self.presort(matrix);
+        self.evaluate_k_with_threads(
+            matrix,
+            presort.as_ref(),
+            k,
+            self.resolved_budget(),
+            &RunControl::new(),
+        )
+    }
+
+    /// The presort of `matrix` that every K's tree cross-validation
+    /// shares; `None` unless the robustness classifier is a tree.
+    fn presort(&self, matrix: &DenseMatrix) -> Option<Presorted> {
+        matches!(self.classifier, RobustnessClassifier::DecisionTree(_))
+            .then(|| Presorted::new(matrix))
     }
 
     /// Evaluates one K value driving the Lloyd kernel with `row_threads`
-    /// worker threads (identical output for every value). Kernel
-    /// counters are forwarded to `control`'s observer, if any —
-    /// instrumentation only, never part of the result.
+    /// worker threads (identical output for every value). `presort` is
+    /// [`Optimizer::presort`] of `matrix`. Kernel counters are forwarded
+    /// to `control`'s observer, if any — instrumentation only, never
+    /// part of the result.
     fn evaluate_k_with_threads(
         &self,
         matrix: &DenseMatrix,
+        presort: Option<&Presorted>,
         k: usize,
         row_threads: usize,
         control: &RunControl,
@@ -231,13 +254,14 @@ impl Optimizer {
         control.counters(PipelineStage::Optimize, &stats.as_pairs());
         let overall_similarity = cluster::overall_similarity(matrix, &result.assignments, k);
         let cm = match &self.classifier {
-            RobustnessClassifier::DecisionTree(config) => validate::cross_validate(
+            RobustnessClassifier::DecisionTree(config) => validate::cross_validate_tree(
+                presort.expect("a tree classifier comes with its presort"),
                 matrix,
                 &result.assignments,
                 k,
                 self.folds,
+                config,
                 self.seed,
-                |tx, ty, sx| DecisionTree::fit(tx, ty, k, config).predict(sx),
             ),
             RobustnessClassifier::NaiveBayes => validate::cross_validate(
                 matrix,
@@ -297,18 +321,19 @@ impl Optimizer {
         control: &RunControl,
     ) -> Result<OptimizerReport, PipelineError> {
         assert!(!self.ks.is_empty(), "no K values to evaluate");
+        let presort = self.presort(matrix);
+        let presort = presort.as_ref();
         let evaluations: Vec<KEvaluation> = if self.parallel && self.ks.len() > 1 {
             control.checkpoint(PipelineStage::Optimize)?;
             // Split the budget across the K-level workers; each worker
             // drives the row-parallel kernel with its share.
             let row_threads = (self.resolved_budget() / self.ks.len()).max(1);
-            let mut slots: Vec<Option<KEvaluation>> = vec![None; self.ks.len()];
-            crossbeam::thread::scope(|scope| {
+            let slots: Vec<Option<KEvaluation>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .ks
                     .iter()
                     .map(|&k| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             if control.is_cancelled() {
                                 return None;
                             }
@@ -318,16 +343,24 @@ impl Optimizer {
                             Some(control.span(
                                 PipelineStage::Optimize,
                                 &format!("sweep:k={k}"),
-                                || self.evaluate_k_with_threads(matrix, k, row_threads, control),
+                                || {
+                                    self.evaluate_k_with_threads(
+                                        matrix,
+                                        presort,
+                                        k,
+                                        row_threads,
+                                        control,
+                                    )
+                                },
                             ))
                         })
                     })
                     .collect();
-                for (slot, handle) in slots.iter_mut().zip(handles) {
-                    *slot = handle.join().expect("worker panicked");
-                }
-            })
-            .expect("scope panicked");
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("worker panicked"))
+                    .collect()
+            });
             control.checkpoint(PipelineStage::Optimize)?;
             slots
                 .into_iter()
@@ -347,7 +380,13 @@ impl Optimizer {
                     control.checkpoint(PipelineStage::Optimize)?;
                     Ok(
                         control.span(PipelineStage::Optimize, &format!("sweep:k={k}"), || {
-                            self.evaluate_k_with_threads(matrix, k, self.resolved_budget(), control)
+                            self.evaluate_k_with_threads(
+                                matrix,
+                                presort,
+                                k,
+                                self.resolved_budget(),
+                                control,
+                            )
                         }),
                     )
                 })

@@ -169,16 +169,15 @@ where
         .collect();
     let body = &body;
     let mut out = Vec::with_capacity(n);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = groups
             .into_iter()
-            .map(|group| scope.spawn(move |_| group.into_iter().map(body).collect::<Vec<R>>()))
+            .map(|group| scope.spawn(move || group.into_iter().map(body).collect::<Vec<R>>()))
             .collect();
         for handle in handles {
             out.extend(handle.join().expect("kernel worker panicked"));
         }
-    })
-    .expect("kernel scope panicked");
+    });
     out
 }
 

@@ -1,4 +1,5 @@
-//! CART decision tree (binary splits on continuous features).
+//! CART decision tree (binary splits on continuous features), grown on
+//! a presorted column index.
 //!
 //! The paper's optimizer "built a classifier … to assess the robustness
 //! of clustering results …, using the same input features of the
@@ -7,6 +8,36 @@
 //! decision trees as classification model." This is that model: a
 //! depth-limited CART with gini or entropy impurity, midpoint thresholds
 //! and deterministic tie-breaking.
+//!
+//! # Presort once, partition down
+//!
+//! Growth follows SLIQ/SPRINT. [`Presorted::new`] copies the matrix
+//! into column-major order and sorts every feature's row ids by value,
+//! once. A cross-validation sweep shares that one presort across all
+//! of its fits: [`DecisionTree::fit_rows`] takes a training mask
+//! instead of a copied sub-matrix and starts by filtering each
+//! feature's sorted order down to the training rows. From then on no
+//! node sorts anything:
+//!
+//! * every node owns the same `[start, end)` segment of each feature's
+//!   filtered order, and that segment is already in ascending value
+//!   order, so the best split of a feature is one scan of its segment
+//!   (the run of rows tied at the lowest value, which is most of a
+//!   sparse feature, holds no boundary and is tallied from the shorter
+//!   side of its end);
+//! * a split marks the rows that go left (`value <= threshold`) and
+//!   stably partitions every feature's segment into left then right,
+//!   which keeps both halves sorted for the children.
+//!
+//! A level of the tree therefore costs O(d·n) for d features and n
+//! training rows, instead of the O(d·n log n) of re-sorting each node.
+//!
+//! The trees are identical to those of a per-node re-sort: the scan
+//! evaluates only boundaries between distinct values, where the class
+//! counts on either side do not depend on how rows with equal values
+//! are ordered, and the gain, threshold and tie-break expressions are
+//! the same floating-point expressions evaluated in the same (feature,
+//! threshold) order.
 
 use ada_vsm::dense::DenseMatrix;
 use serde::{Deserialize, Serialize};
@@ -85,6 +116,76 @@ enum Node {
     },
 }
 
+/// A matrix presorted for tree growth: a column-major copy of its
+/// values plus, for every feature, all row ids in ascending value
+/// order.
+///
+/// Built once and shared read-only by every fit over the same matrix
+/// (see the module docs).
+#[derive(Debug)]
+pub struct Presorted {
+    num_rows: usize,
+    num_features: usize,
+    /// Feature `f`'s values are `columns[f * num_rows..][..num_rows]`.
+    columns: Vec<f64>,
+    /// Feature `f`'s row ids in ascending value order are
+    /// `order[f * num_rows..][..num_rows]`.
+    order: Vec<u32>,
+}
+
+impl Presorted {
+    /// Copies `matrix` column by column and sorts each column's row ids
+    /// by value.
+    ///
+    /// # Panics
+    /// Panics when a feature value is NaN or the matrix has more than
+    /// `u32::MAX` rows.
+    pub fn new(matrix: &DenseMatrix) -> Self {
+        let (num_rows, num_features) = (matrix.num_rows(), matrix.num_cols());
+        let row_ids = u32::try_from(num_rows).expect("presort holds at most u32::MAX rows");
+        let mut columns = vec![0.0; num_rows * num_features];
+        for (r, row) in matrix.rows_iter().enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                columns[f * num_rows + r] = v;
+            }
+        }
+        let mut order = Vec::with_capacity(num_rows * num_features);
+        for column in (0..num_features).map(|f| &columns[f * num_rows..(f + 1) * num_rows]) {
+            let start = order.len();
+            order.extend(0..row_ids);
+            order[start..].sort_unstable_by(|&a: &u32, &b: &u32| {
+                column[a as usize]
+                    .partial_cmp(&column[b as usize])
+                    .expect("finite feature values")
+            });
+        }
+        Self {
+            num_rows,
+            num_features,
+            columns,
+            order,
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.num_rows
+    }
+
+    /// Number of features.
+    pub(crate) fn num_features(&self) -> usize {
+        self.num_features
+    }
+
+    fn column(&self, feature: usize) -> &[f64] {
+        &self.columns[feature * self.num_rows..(feature + 1) * self.num_rows]
+    }
+
+    fn sorted(&self, feature: usize) -> &[u32] {
+        &self.order[feature * self.num_rows..(feature + 1) * self.num_rows]
+    }
+}
+
 /// A fitted CART decision tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
@@ -94,155 +195,84 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Fits a tree on the rows of `matrix` with the given labels.
+    /// Fits a tree on the rows of `matrix` with the given labels:
+    /// presorts the matrix, then [`fit_rows`](Self::fit_rows) on every
+    /// row.
     ///
     /// # Panics
-    /// Panics on empty input, label/row count mismatch, or labels
-    /// ≥ `num_classes`.
+    /// Panics on empty input, label/row count mismatch, labels
+    /// ≥ `num_classes`, or a NaN feature value.
     pub fn fit(
         matrix: &DenseMatrix,
         labels: &[usize],
         num_classes: usize,
         config: &TreeConfig,
     ) -> Self {
-        assert_eq!(matrix.num_rows(), labels.len(), "label count mismatch");
-        assert!(!labels.is_empty(), "cannot fit on empty data");
+        let train_mask = vec![true; matrix.num_rows()];
+        Self::fit_rows(
+            &Presorted::new(matrix),
+            labels,
+            &train_mask,
+            num_classes,
+            config,
+        )
+    }
+
+    /// Fits a tree on the rows of `presorted` whose `train_mask` entry
+    /// is set. `labels` has one entry per presorted row; only the rows
+    /// in the mask train the tree.
+    ///
+    /// # Panics
+    /// Panics when the mask selects no row, `labels` or `train_mask`
+    /// does not have one entry per row, or a label is ≥ `num_classes`.
+    pub fn fit_rows(
+        presorted: &Presorted,
+        labels: &[usize],
+        train_mask: &[bool],
+        num_classes: usize,
+        config: &TreeConfig,
+    ) -> Self {
+        assert_eq!(presorted.num_rows, labels.len(), "label count mismatch");
+        assert_eq!(
+            presorted.num_rows,
+            train_mask.len(),
+            "train mask length mismatch"
+        );
         assert!(
             labels.iter().all(|&l| l < num_classes),
             "label out of range"
         );
-        let mut tree = DecisionTree {
+        let mut counts = vec![0usize; num_classes];
+        for (&label, _) in labels.iter().zip(train_mask).filter(|(_, &t)| t) {
+            counts[label] += 1;
+        }
+        let train_rows: usize = counts.iter().sum();
+        assert!(train_rows > 0, "cannot fit on empty data");
+        let mut rows = Vec::with_capacity(train_rows * presorted.num_features);
+        for feature in 0..presorted.num_features {
+            rows.extend(
+                presorted
+                    .sorted(feature)
+                    .iter()
+                    .filter(|&&r| train_mask[r as usize]),
+            );
+        }
+        let mut grower = Grower {
+            presorted,
+            labels,
+            config,
+            train_rows,
+            rows,
+            goes_left: vec![false; presorted.num_rows],
+            scratch: Vec::new(),
             nodes: Vec::new(),
+        };
+        grower.grow(0, train_rows, counts, 0);
+        DecisionTree {
+            nodes: grower.nodes,
             num_classes,
-            num_features: matrix.num_cols(),
-        };
-        let mut indices: Vec<usize> = (0..matrix.num_rows()).collect();
-        tree.grow(matrix, labels, &mut indices, 0, config);
-        tree
-    }
-
-    /// Grows the subtree over `indices` (reordered in place), returning
-    /// its node id.
-    fn grow(
-        &mut self,
-        matrix: &DenseMatrix,
-        labels: &[usize],
-        indices: &mut [usize],
-        depth: usize,
-        config: &TreeConfig,
-    ) -> usize {
-        let counts = self.class_counts(labels, indices);
-        let majority = argmax_counts(&counts);
-        let impurity = config.criterion.impurity(&counts, indices.len());
-
-        let make_leaf = |tree: &mut Self| {
-            tree.nodes.push(Node::Leaf { class: majority });
-            tree.nodes.len() - 1
-        };
-
-        if depth >= config.max_depth
-            || indices.len() < 2 * config.min_samples_leaf
-            || impurity == 0.0
-        {
-            return make_leaf(self);
+            num_features: presorted.num_features,
         }
-
-        let Some((feature, threshold, gain)) =
-            self.best_split(matrix, labels, indices, impurity, config)
-        else {
-            return make_leaf(self);
-        };
-        if gain < config.min_gain {
-            return make_leaf(self);
-        }
-
-        // Partition indices in place: left = value <= threshold.
-        let mid = partition(indices, |&i| matrix.get(i, feature) <= threshold);
-        if mid == 0 || mid == indices.len() {
-            return make_leaf(self); // numerically degenerate split
-        }
-
-        // Reserve the node slot before recursing so the root ends up at 0
-        // only for a leaf; we instead build children first and push the
-        // split after, then return its id (children ids are stable).
-        let (left_slice, right_slice) = indices.split_at_mut(mid);
-        let left = self.grow(matrix, labels, left_slice, depth + 1, config);
-        let right = self.grow(matrix, labels, right_slice, depth + 1, config);
-        self.nodes.push(Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        });
-        self.nodes.len() - 1
-    }
-
-    fn class_counts(&self, labels: &[usize], indices: &[usize]) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_classes];
-        for &i in indices {
-            counts[labels[i]] += 1;
-        }
-        counts
-    }
-
-    /// Exhaustive best split: for every feature, sort the node's rows by
-    /// value and scan class-count prefixes, evaluating each boundary
-    /// between distinct values.
-    fn best_split(
-        &self,
-        matrix: &DenseMatrix,
-        labels: &[usize],
-        indices: &[usize],
-        parent_impurity: f64,
-        config: &TreeConfig,
-    ) -> Option<(usize, f64, f64)> {
-        let n = indices.len();
-        let total = n as f64;
-        let mut best: Option<(usize, f64, f64)> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        for feature in 0..self.num_features {
-            order.clear();
-            order.extend_from_slice(indices);
-            order.sort_unstable_by(|&a, &b| {
-                matrix
-                    .get(a, feature)
-                    .partial_cmp(&matrix.get(b, feature))
-                    .expect("finite feature values")
-            });
-
-            let mut left_counts = vec![0usize; self.num_classes];
-            let mut right_counts = self.class_counts(labels, indices);
-            for pos in 0..n - 1 {
-                let i = order[pos];
-                left_counts[labels[i]] += 1;
-                right_counts[labels[i]] -= 1;
-                let v = matrix.get(i, feature);
-                let v_next = matrix.get(order[pos + 1], feature);
-                if v == v_next {
-                    continue; // can't split between equal values
-                }
-                let left_n = pos + 1;
-                let right_n = n - left_n;
-                if left_n < config.min_samples_leaf || right_n < config.min_samples_leaf {
-                    continue;
-                }
-                let gain = parent_impurity
-                    - (left_n as f64 / total) * config.criterion.impurity(&left_counts, left_n)
-                    - (right_n as f64 / total) * config.criterion.impurity(&right_counts, right_n);
-                let threshold = v + (v_next - v) / 2.0;
-                let better = match best {
-                    None => true,
-                    Some((bf, bt, bg)) => {
-                        gain > bg + 1e-12
-                            || ((gain - bg).abs() <= 1e-12 && (feature, threshold) < (bf, bt))
-                    }
-                };
-                if better {
-                    best = Some((feature, threshold, gain));
-                }
-            }
-        }
-        best
     }
 
     /// Predicts the class of a single feature row.
@@ -298,22 +328,193 @@ impl DecisionTree {
     }
 }
 
-/// Stable partition: reorders `slice` so that all elements satisfying
-/// `pred` come first; returns the boundary.
-fn partition<T: Copy>(slice: &mut [T], pred: impl Fn(&T) -> bool) -> usize {
-    let mut kept: Vec<T> = Vec::with_capacity(slice.len());
-    let mut rest: Vec<T> = Vec::new();
-    for &x in slice.iter() {
-        if pred(&x) {
-            kept.push(x);
-        } else {
-            rest.push(x);
+/// The state of one fit: every feature's training rows in value order,
+/// partitioned in place as the tree splits.
+struct Grower<'a> {
+    presorted: &'a Presorted,
+    labels: &'a [usize],
+    config: &'a TreeConfig,
+    /// Number of training rows, the length of each feature's block.
+    train_rows: usize,
+    /// Feature `f`'s block is `rows[f * train_rows..][..train_rows]`. A
+    /// node's rows are the same `[start, end)` segment of every block,
+    /// sorted by that block's feature.
+    rows: Vec<u32>,
+    /// Per presorted row: whether it goes left at the split being
+    /// applied.
+    goes_left: Vec<bool>,
+    /// The right-hand rows of the segment being partitioned.
+    scratch: Vec<u32>,
+    nodes: Vec<Node>,
+}
+
+impl Grower<'_> {
+    /// Grows the subtree over segment `[start, end)`, whose class counts
+    /// are `counts`, and returns its node id.
+    fn grow(&mut self, start: usize, end: usize, counts: Vec<usize>, depth: usize) -> usize {
+        let n = end - start;
+        let config = self.config;
+        let majority = argmax_counts(&counts);
+        let impurity = config.criterion.impurity(&counts, n);
+
+        let make_leaf = |nodes: &mut Vec<Node>| {
+            nodes.push(Node::Leaf { class: majority });
+            nodes.len() - 1
+        };
+
+        if depth >= config.max_depth || n < 2 * config.min_samples_leaf || impurity == 0.0 {
+            return make_leaf(&mut self.nodes);
+        }
+
+        let Some((feature, threshold, gain)) = self.best_split(start, end, &counts, impurity)
+        else {
+            return make_leaf(&mut self.nodes);
+        };
+        if gain < config.min_gain {
+            return make_leaf(&mut self.nodes);
+        }
+
+        // Mark the rows going left (value <= threshold) and count them.
+        let column = self.presorted.column(feature);
+        let base = feature * self.train_rows;
+        let mut left_counts = vec![0usize; counts.len()];
+        let mut mid = 0;
+        for &r in &self.rows[base + start..base + end] {
+            let r = r as usize;
+            let left = column[r] <= threshold;
+            self.goes_left[r] = left;
+            if left {
+                left_counts[self.labels[r]] += 1;
+                mid += 1;
+            }
+        }
+        if mid == 0 || mid == n {
+            return make_leaf(&mut self.nodes); // numerically degenerate split
+        }
+        let right_counts = counts
+            .iter()
+            .zip(&left_counts)
+            .map(|(c, l)| c - l)
+            .collect();
+
+        // Children at the depth limit are leaves and never read their
+        // segments, so their parent does not partition.
+        if depth + 1 < config.max_depth {
+            self.partition(start, end);
+        }
+        // Children are pushed before their parent, so the root is the
+        // last node.
+        let left = self.grow(start, start + mid, left_counts, depth + 1);
+        let right = self.grow(start + mid, end, right_counts, depth + 1);
+        self.nodes.push(Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        });
+        self.nodes.len() - 1
+    }
+
+    /// Exhaustive best split: one scan of every feature's value-sorted
+    /// segment, accumulating class-count prefixes and evaluating each
+    /// boundary between distinct values.
+    fn best_split(
+        &self,
+        start: usize,
+        end: usize,
+        counts: &[usize],
+        parent_impurity: f64,
+    ) -> Option<(usize, f64, f64)> {
+        let config = self.config;
+        let n = end - start;
+        let total = n as f64;
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut left_counts = vec![0usize; counts.len()];
+        let mut right_counts = vec![0usize; counts.len()];
+        for feature in 0..self.presorted.num_features {
+            let column = self.presorted.column(feature);
+            let base = feature * self.train_rows;
+            let segment = &self.rows[base + start..base + end];
+            let lowest = column[segment[0] as usize];
+            if lowest == column[segment[n - 1] as usize] {
+                continue; // constant over the node: no boundary
+            }
+            // The rows tied at the lowest value hold no boundary: tally
+            // them in one step, from whichever side of the first boundary
+            // is shorter (a sparse feature is mostly one run of zeros).
+            let run = segment.partition_point(|&r| column[r as usize] == lowest);
+            let (tallied, derived, rows) = if run <= n - run {
+                (&mut left_counts, &mut right_counts, &segment[..run])
+            } else {
+                (&mut right_counts, &mut left_counts, &segment[run..])
+            };
+            tallied.fill(0);
+            for &r in rows {
+                tallied[self.labels[r as usize]] += 1;
+            }
+            for ((d, &c), &t) in derived.iter_mut().zip(counts).zip(tallied.iter()) {
+                *d = c - t;
+            }
+            for pos in run - 1..n - 1 {
+                let i = segment[pos] as usize;
+                if pos >= run {
+                    left_counts[self.labels[i]] += 1;
+                    right_counts[self.labels[i]] -= 1;
+                }
+                let (v, v_next) = (column[i], column[segment[pos + 1] as usize]);
+                if v == v_next {
+                    continue; // can't split between equal values
+                }
+                let left_n = pos + 1;
+                let right_n = n - left_n;
+                if right_n < config.min_samples_leaf {
+                    break; // the right side only shrinks from here
+                }
+                if left_n < config.min_samples_leaf {
+                    continue;
+                }
+                let gain = parent_impurity
+                    - (left_n as f64 / total) * config.criterion.impurity(&left_counts, left_n)
+                    - (right_n as f64 / total) * config.criterion.impurity(&right_counts, right_n);
+                let threshold = v + (v_next - v) / 2.0;
+                let better = match best {
+                    None => true,
+                    Some((bf, bt, bg)) => {
+                        gain > bg + 1e-12
+                            || ((gain - bg).abs() <= 1e-12 && (feature, threshold) < (bf, bt))
+                    }
+                };
+                if better {
+                    best = Some((feature, threshold, gain));
+                }
+            }
+        }
+        best
+    }
+
+    /// Stably partitions every feature's `[start, end)` segment into the
+    /// rows marked in `goes_left`, then the rest, so both halves stay in
+    /// value order.
+    fn partition(&mut self, start: usize, end: usize) {
+        for feature in 0..self.presorted.num_features {
+            let base = feature * self.train_rows;
+            let segment = &mut self.rows[base + start..base + end];
+            self.scratch.resize(segment.len(), 0);
+            // Branch-free: each row is written to both destinations and
+            // only the matching cursor advances (`kept <= i`, so the
+            // in-place write never clobbers an unread row).
+            let (mut kept, mut moved) = (0, 0);
+            for i in 0..segment.len() {
+                let r = segment[i];
+                let left = usize::from(self.goes_left[r as usize]);
+                segment[kept] = r;
+                self.scratch[moved] = r;
+                kept += left;
+                moved += 1 - left;
+            }
+            segment[kept..].copy_from_slice(&self.scratch[..moved]);
         }
     }
-    let mid = kept.len();
-    slice[..mid].copy_from_slice(&kept);
-    slice[mid..].copy_from_slice(&rest);
-    mid
 }
 
 fn argmax_counts(counts: &[usize]) -> usize {
@@ -489,6 +690,13 @@ mod tests {
         assert_eq!(Criterion::Entropy.impurity(&[5, 0], 5), 0.0);
         assert!((Criterion::Entropy.impurity(&[5, 5], 10) - 2f64.ln().abs()).abs() < 1e-12);
         assert_eq!(Criterion::Gini.impurity(&[], 0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite feature values")]
+    fn rejects_nan_features() {
+        let m = DenseMatrix::from_rows(&[vec![1.0], vec![f64::NAN], vec![2.0]]);
+        let _ = DecisionTree::fit(&m, &[0, 1, 0], 2, &TreeConfig::default());
     }
 
     #[test]

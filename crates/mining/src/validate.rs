@@ -11,6 +11,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::tree::{DecisionTree, Presorted, TreeConfig};
+
 /// Builds `num_folds` stratified folds over `labels`; returns, for each
 /// fold, the indices of its *test* partition. Every index appears in
 /// exactly one fold.
@@ -47,6 +49,31 @@ pub fn stratified_folds(labels: &[usize], num_folds: usize, seed: u64) -> Vec<Ve
     folds
 }
 
+/// Calls `body(fold, train_mask)` for every fold with rows to test and
+/// rows to train on; `train_mask[i]` is false exactly for the fold's
+/// rows.
+fn for_each_fold(
+    labels: &[usize],
+    num_folds: usize,
+    seed: u64,
+    mut body: impl FnMut(&[usize], &[bool]),
+) {
+    let mut train_mask = vec![true; labels.len()];
+    for fold in stratified_folds(labels, num_folds, seed) {
+        // An empty fold tests nothing; single-fold CV trains on nothing.
+        if fold.is_empty() || fold.len() == labels.len() {
+            continue;
+        }
+        for &i in &fold {
+            train_mask[i] = false;
+        }
+        body(&fold, &train_mask);
+        for &i in &fold {
+            train_mask[i] = true;
+        }
+    }
+}
+
 /// Runs k-fold cross-validation of an arbitrary classifier and pools the
 /// per-fold confusion matrices.
 ///
@@ -68,23 +95,9 @@ where
     F: FnMut(&DenseMatrix, &[usize], &DenseMatrix) -> Vec<usize>,
 {
     assert_eq!(matrix.num_rows(), labels.len(), "label count mismatch");
-    let folds = stratified_folds(labels, num_folds, seed);
     let mut pooled = ConfusionMatrix::new(num_classes);
-    for fold in &folds {
-        if fold.is_empty() {
-            continue;
-        }
-        let in_fold = {
-            let mut mask = vec![false; labels.len()];
-            for &i in fold {
-                mask[i] = true;
-            }
-            mask
-        };
-        let train_idx: Vec<usize> = (0..labels.len()).filter(|&i| !in_fold[i]).collect();
-        if train_idx.is_empty() {
-            continue; // single-fold CV: nothing to train on
-        }
+    for_each_fold(labels, num_folds, seed, |fold, train_mask| {
+        let train_idx: Vec<usize> = (0..labels.len()).filter(|&i| train_mask[i]).collect();
         let train_x = matrix.select_rows(&train_idx);
         let train_y: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
         let test_x = matrix.select_rows(fold);
@@ -97,28 +110,47 @@ where
         for (&i, &p) in fold.iter().zip(&predictions) {
             pooled.record(labels[i], p);
         }
-    }
+    });
     pooled
 }
 
-/// Convenience wrapper: 10-fold CV of a CART decision tree, the paper's
-/// Table I protocol.
+/// k-fold cross-validation of a CART decision tree (the paper's Table I
+/// protocol) on `presorted`, a presort of `matrix` that many runs can
+/// share. Each fold trains through a mask with
+/// [`DecisionTree::fit_rows`] and predicts its test rows in place, so no
+/// fold copies rows. The result equals [`cross_validate`] with
+/// [`DecisionTree::fit`].
+///
+/// # Panics
+/// Panics when `presorted` does not have `matrix`'s shape, or on
+/// degenerate fold configurations (see [`stratified_folds`]).
 pub fn cross_validate_tree(
+    presorted: &Presorted,
     matrix: &DenseMatrix,
     labels: &[usize],
     num_classes: usize,
-    config: &crate::tree::TreeConfig,
+    num_folds: usize,
+    config: &TreeConfig,
     seed: u64,
 ) -> ConfusionMatrix {
-    cross_validate(matrix, labels, num_classes, 10, seed, |tx, ty, sx| {
-        crate::tree::DecisionTree::fit(tx, ty, num_classes, config).predict(sx)
-    })
+    assert_eq!(matrix.num_rows(), labels.len(), "label count mismatch");
+    assert!(
+        presorted.num_rows() == matrix.num_rows() && presorted.num_features() == matrix.num_cols(),
+        "presort does not match the matrix"
+    );
+    let mut pooled = ConfusionMatrix::new(num_classes);
+    for_each_fold(labels, num_folds, seed, |fold, train_mask| {
+        let tree = DecisionTree::fit_rows(presorted, labels, train_mask, num_classes, config);
+        for &i in fold {
+            pooled.record(labels[i], tree.predict_row(matrix.row(i)));
+        }
+    });
+    pooled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeConfig;
 
     #[test]
     fn folds_partition_all_indices() {
@@ -162,7 +194,15 @@ mod tests {
             .collect();
         let labels: Vec<usize> = (0..60).map(|i| i % 2).collect();
         let m = DenseMatrix::from_rows(&rows);
-        let cm = cross_validate_tree(&m, &labels, 2, &TreeConfig::default(), 3);
+        let cm = cross_validate_tree(
+            &Presorted::new(&m),
+            &m,
+            &labels,
+            2,
+            10,
+            &TreeConfig::default(),
+            3,
+        );
         assert_eq!(cm.total(), 60);
         assert!((cm.accuracy() - 1.0).abs() < 1e-12);
     }
@@ -175,7 +215,15 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..200).map(|_| vec![rng.gen::<f64>()]).collect();
         let labels: Vec<usize> = (0..200).map(|_| rng.gen_range(0..2)).collect();
         let m = DenseMatrix::from_rows(&rows);
-        let cm = cross_validate_tree(&m, &labels, 2, &TreeConfig::default(), 5);
+        let cm = cross_validate_tree(
+            &Presorted::new(&m),
+            &m,
+            &labels,
+            2,
+            10,
+            &TreeConfig::default(),
+            5,
+        );
         assert!(cm.accuracy() < 0.7, "accuracy {}", cm.accuracy());
     }
 

@@ -270,3 +270,275 @@ proptest! {
         }
     }
 }
+
+/// The CART fit that re-sorts each node's rows for every feature, kept
+/// as the oracle for the presorted fit. `DecisionTree`'s nodes are
+/// private, so the oracle grows a mirror with the same type and field
+/// names: equal derived `Debug` renderings, which print every float in
+/// round-trip form, mean equal trees.
+mod resort_oracle {
+    use ada_mining::tree::{Criterion, TreeConfig};
+    use ada_vsm::DenseMatrix;
+
+    // The fields are read only through the derived `Debug`.
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    enum Node {
+        Leaf {
+            class: usize,
+        },
+        Split {
+            feature: usize,
+            threshold: f64,
+            left: usize,
+            right: usize,
+        },
+    }
+
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    pub struct DecisionTree {
+        nodes: Vec<Node>,
+        num_classes: usize,
+        num_features: usize,
+    }
+
+    fn impurity(criterion: Criterion, counts: &[usize], total: usize) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        let t = total as f64;
+        match criterion {
+            Criterion::Gini => {
+                1.0 - counts
+                    .iter()
+                    .map(|&c| {
+                        let p = c as f64 / t;
+                        p * p
+                    })
+                    .sum::<f64>()
+            }
+            Criterion::Entropy => counts
+                .iter()
+                .filter(|&&c| c > 0)
+                .map(|&c| {
+                    let p = c as f64 / t;
+                    -p * p.ln()
+                })
+                .sum(),
+        }
+    }
+
+    fn class_counts(labels: &[usize], indices: &[usize], num_classes: usize) -> Vec<usize> {
+        let mut counts = vec![0usize; num_classes];
+        for &i in indices {
+            counts[labels[i]] += 1;
+        }
+        counts
+    }
+
+    fn argmax_counts(counts: &[usize]) -> usize {
+        counts
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
+            .map(|(i, _)| i)
+            .unwrap_or(0)
+    }
+
+    pub fn fit(
+        matrix: &DenseMatrix,
+        labels: &[usize],
+        num_classes: usize,
+        config: &TreeConfig,
+    ) -> DecisionTree {
+        let mut tree = DecisionTree {
+            nodes: Vec::new(),
+            num_classes,
+            num_features: matrix.num_cols(),
+        };
+        let mut indices: Vec<usize> = (0..matrix.num_rows()).collect();
+        grow(&mut tree, matrix, labels, &mut indices, 0, config);
+        tree
+    }
+
+    fn grow(
+        tree: &mut DecisionTree,
+        matrix: &DenseMatrix,
+        labels: &[usize],
+        indices: &mut [usize],
+        depth: usize,
+        config: &TreeConfig,
+    ) -> usize {
+        let counts = class_counts(labels, indices, tree.num_classes);
+        let majority = argmax_counts(&counts);
+        let parent = impurity(config.criterion, &counts, indices.len());
+        let make_leaf = |tree: &mut DecisionTree| {
+            tree.nodes.push(Node::Leaf { class: majority });
+            tree.nodes.len() - 1
+        };
+        if depth >= config.max_depth || indices.len() < 2 * config.min_samples_leaf || parent == 0.0
+        {
+            return make_leaf(tree);
+        }
+        let Some((feature, threshold, gain)) =
+            best_split(tree, matrix, labels, indices, parent, config)
+        else {
+            return make_leaf(tree);
+        };
+        if gain < config.min_gain {
+            return make_leaf(tree);
+        }
+        let (mut kept, rest): (Vec<usize>, Vec<usize>) = indices
+            .iter()
+            .partition(|&&i| matrix.get(i, feature) <= threshold);
+        let mid = kept.len();
+        if mid == 0 || mid == indices.len() {
+            return make_leaf(tree);
+        }
+        kept.extend(rest);
+        indices.copy_from_slice(&kept);
+        let (left_slice, right_slice) = indices.split_at_mut(mid);
+        let left = grow(tree, matrix, labels, left_slice, depth + 1, config);
+        let right = grow(tree, matrix, labels, right_slice, depth + 1, config);
+        tree.nodes.push(Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        });
+        tree.nodes.len() - 1
+    }
+
+    fn best_split(
+        tree: &DecisionTree,
+        matrix: &DenseMatrix,
+        labels: &[usize],
+        indices: &[usize],
+        parent: f64,
+        config: &TreeConfig,
+    ) -> Option<(usize, f64, f64)> {
+        let n = indices.len();
+        let total = n as f64;
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        for feature in 0..tree.num_features {
+            order.clear();
+            order.extend_from_slice(indices);
+            order.sort_unstable_by(|&a, &b| {
+                matrix
+                    .get(a, feature)
+                    .partial_cmp(&matrix.get(b, feature))
+                    .expect("finite feature values")
+            });
+            let mut left_counts = vec![0usize; tree.num_classes];
+            let mut right_counts = class_counts(labels, indices, tree.num_classes);
+            for pos in 0..n - 1 {
+                let i = order[pos];
+                left_counts[labels[i]] += 1;
+                right_counts[labels[i]] -= 1;
+                let v = matrix.get(i, feature);
+                let v_next = matrix.get(order[pos + 1], feature);
+                if v == v_next {
+                    continue;
+                }
+                let left_n = pos + 1;
+                let right_n = n - left_n;
+                if left_n < config.min_samples_leaf || right_n < config.min_samples_leaf {
+                    continue;
+                }
+                let gain = parent
+                    - (left_n as f64 / total) * impurity(config.criterion, &left_counts, left_n)
+                    - (right_n as f64 / total) * impurity(config.criterion, &right_counts, right_n);
+                let threshold = v + (v_next - v) / 2.0;
+                let better = match best {
+                    None => true,
+                    Some((bf, bt, bg)) => {
+                        gain > bg + 1e-12
+                            || ((gain - bg).abs() <= 1e-12 && (feature, threshold) < (bf, bt))
+                    }
+                };
+                if better {
+                    best = Some((feature, threshold, gain));
+                }
+            }
+        }
+        best
+    }
+}
+
+/// A tree-fit case: a matrix of heavily tied values (mostly zeros, a few
+/// halves, some spread values, and some constant columns), labels over
+/// 1–20 classes, and a random train mask keeping about 4 rows in 5.
+fn tree_case() -> impl Strategy<Value = (DenseMatrix, Vec<usize>, Vec<bool>, usize)> {
+    (1usize..21, 1usize..6, 1usize..60)
+        .prop_flat_map(|(classes, cols, rows)| {
+            let value = prop_oneof![
+                4 => Just(0.0),
+                3 => (-3i32..4).prop_map(|v| f64::from(v) / 2.0),
+                1 => (-1000i32..1000).prop_map(|v| f64::from(v) / 7.0),
+            ];
+            (
+                prop::collection::vec(prop::collection::vec(value, cols), rows),
+                prop::collection::vec(prop::bool::ANY, cols),
+                prop::collection::vec(0..classes, rows),
+                prop::collection::vec((0u8..5).prop_map(|v| v > 0), rows),
+                Just(classes),
+            )
+        })
+        .prop_map(|(mut rows, constant, labels, mask, classes)| {
+            for row in &mut rows {
+                for (v, &c) in row.iter_mut().zip(&constant) {
+                    if c {
+                        *v = 1.5;
+                    }
+                }
+            }
+            (DenseMatrix::from_rows(&rows), labels, mask, classes)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn presorted_tree_equals_resort_oracle(
+        (m, labels, mask, classes) in tree_case(),
+        entropy in prop::bool::ANY,
+        min_samples_leaf in 1usize..7,
+        max_depth in 0usize..11,
+    ) {
+        use ada_mining::tree::{Criterion, DecisionTree, Presorted, TreeConfig};
+        prop_assume!(mask.iter().any(|&t| t));
+        let config = TreeConfig {
+            max_depth,
+            min_samples_leaf,
+            criterion: if entropy { Criterion::Entropy } else { Criterion::Gini },
+            ..TreeConfig::default()
+        };
+        let train: Vec<usize> = (0..labels.len()).filter(|&i| mask[i]).collect();
+        let train_labels: Vec<usize> = train.iter().map(|&i| labels[i]).collect();
+        let oracle = resort_oracle::fit(&m.select_rows(&train), &train_labels, classes, &config);
+        let tree = DecisionTree::fit_rows(&Presorted::new(&m), &labels, &mask, classes, &config);
+        prop_assert_eq!(format!("{tree:?}"), format!("{oracle:?}"));
+    }
+
+    #[test]
+    fn tree_cv_equals_generic_cv_on_copied_folds(
+        (m, labels, _mask, classes) in tree_case(),
+        num_folds in 1usize..6,
+        seed in 0u64..1_000,
+        min_samples_leaf in 1usize..4,
+    ) {
+        use ada_mining::tree::{DecisionTree, Presorted, TreeConfig};
+        use ada_mining::validate::{cross_validate, cross_validate_tree};
+        prop_assume!(labels.len() >= num_folds);
+        let config = TreeConfig { min_samples_leaf, ..TreeConfig::default() };
+        let presorted = Presorted::new(&m);
+        let fast = cross_validate_tree(&presorted, &m, &labels, classes, num_folds, &config, seed);
+        let copied = cross_validate(&m, &labels, classes, num_folds, seed, |tx, ty, sx| {
+            DecisionTree::fit(tx, ty, classes, &config).predict(sx)
+        });
+        prop_assert_eq!(fast, copied);
+    }
+}

@@ -212,6 +212,18 @@ impl SessionRegistry {
             .map(|(id, e)| (*id, e.name.clone(), e.state.clone()))
             .collect()
     }
+
+    /// Every session as `(id, session name, state label)`, id-ordered:
+    /// [`SessionRegistry::sessions`] without cloning the states (a
+    /// completed one carries its whole report).
+    pub fn labels(&self) -> Vec<(SessionId, String, &'static str)> {
+        let inner = self.inner.lock().expect("registry lock");
+        inner
+            .entries
+            .iter()
+            .map(|(id, e)| (*id, e.name.clone(), e.state.label()))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@ use ada_core::{
 };
 use ada_dataset::{ExamLog, ExamRecord, StreamOrder};
 use ada_kdb::{
-    schema, CommitObserver, CommitRole, Document, DurabilityPolicy, Kdb, SharedKdb, Value,
+    schema, Collection, CommitObserver, CommitRole, Document, DurabilityPolicy, Kdb, SharedKdb,
+    Value,
 };
 use ada_obs::{
     current_trace, document_to_json, past_sessions, past_traces, FlightRecorder, StreamMetrics,
@@ -462,18 +463,25 @@ impl AnalysisService {
     /// state, and the count of persisted past sessions.
     pub fn snapshot(&self) -> Document {
         let sessions = self
-            .sessions()
+            .inner
+            .registry
+            .labels()
             .into_iter()
-            .map(|(id, name, state)| {
+            .map(|(id, name, label)| {
                 Value::Doc(
                     Document::new()
                         .with("id", i64::try_from(id.0).unwrap_or(i64::MAX))
                         .with("name", name)
-                        .with("state", state.label()),
+                        .with("state", label),
                 )
             })
             .collect();
-        let past = past_sessions(&self.inner.kdb.read()).len();
+        let past = self
+            .inner
+            .kdb
+            .read()
+            .collection(schema::names::SESSIONS)
+            .map_or(0, Collection::len);
         Document::new()
             .with("health", Value::Doc(self.health()))
             .with("metrics", Value::Doc(self.metrics().to_document()))

@@ -480,3 +480,74 @@ fn open_ingest_query_seal_round_trip_and_restart_resume() {
     service.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn snapshot_lists_registry_labels_and_counts_past_sessions() {
+    let service = AnalysisService::with_kdb(
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+        Kdb::in_memory(),
+    );
+    let log = Arc::new(generate(&cohort_cfg(), 31));
+    let completed = service
+        .submit(JobSpec::new(
+            AdaHealthConfig::quick("completed"),
+            Arc::clone(&log),
+        ))
+        .unwrap();
+    let failed = service
+        .submit(
+            JobSpec::new(AdaHealthConfig::quick("failed"), Arc::clone(&log))
+                .timeout(Duration::ZERO),
+        )
+        .unwrap();
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = service
+        .submit(JobSpec::new(AdaHealthConfig::quick("cancelled"), log).cancel_token(token))
+        .unwrap();
+    assert!(matches!(
+        service.wait(completed).unwrap(),
+        SessionState::Completed(_)
+    ));
+    assert!(matches!(
+        service.wait(failed).unwrap(),
+        SessionState::Failed { .. }
+    ));
+    assert_eq!(service.wait(cancelled).unwrap(), SessionState::Cancelled);
+
+    let snapshot = service.snapshot();
+    let listed: Vec<(i64, String, String)> = snapshot
+        .get("sessions")
+        .and_then(|v| v.as_array())
+        .expect("sessions array")
+        .iter()
+        .map(|v| {
+            let doc = v.as_doc().expect("session entry");
+            let field = |key| doc.get(key).expect("session field");
+            (
+                field("id").as_i64().expect("id"),
+                field("name").as_str().expect("name").to_owned(),
+                field("state").as_str().expect("state").to_owned(),
+            )
+        })
+        .collect();
+    let expected: Vec<(i64, String, String)> = service
+        .sessions()
+        .into_iter()
+        .map(|(id, name, state)| (id.0 as i64, name, state.label().to_owned()))
+        .collect();
+    assert_eq!(listed, expected);
+    let labels: Vec<&str> = listed.iter().map(|(_, _, label)| label.as_str()).collect();
+    assert_eq!(labels, ["completed", "failed", "cancelled"]);
+
+    let past = service.past_sessions().len();
+    assert_eq!(past, 3);
+    assert_eq!(
+        snapshot.get("past_sessions").and_then(|v| v.as_i64()),
+        Some(past as i64)
+    );
+    service.shutdown();
+}

@@ -17,9 +17,10 @@
 //!    crash and fault-free reopen, the state must be the acknowledged
 //!    prefix and no fsync-acknowledged op may be missing. Snapshot
 //!    compaction gets the same treatment at every tick it consumes.
-//! 3. **Bit flips** — single-bit read-side corruption at sampled byte
-//!    offsets: strict replay must fail loudly (never panic, never
-//!    silently accept), and salvage replay must recover a clean prefix.
+//! 3. **Bit flips** — single-bit read-side corruption at every byte of
+//!    the magic header plus sampled byte offsets: strict replay must
+//!    fail loudly (never panic, never silently accept), and salvage
+//!    replay must recover a clean prefix.
 //! 4. **Multi-producer group commit** — N writer threads interleave
 //!    frames through the sharded [`SharedKdb`] group committer, one
 //!    collection each, under every write-side fault kind. The invariant
@@ -38,7 +39,7 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ada_kdb::journal::{replay_bytes, DurabilityPolicy, Op, RecoveryMode};
+use ada_kdb::journal::{replay_bytes, DurabilityPolicy, Op, RecoveryMode, V2_MAGIC};
 use ada_kdb::{
     fingerprint_ops, Document, FaultKind, FaultyStorage, Kdb, KdbError, MemStorage, SharedKdb,
     Storage, StoreOptions,
@@ -327,14 +328,6 @@ fn check_snapshot_fault(seed: u64, steps: &[Step], golden: &Golden, tick: u64, k
 fn check_bit_flip(seed: u64, golden: &Golden, golden_ops: &[Op], byte: usize, bit: u8) {
     let mut image = golden.image.clone();
     image[byte] ^= 1 << bit;
-    if byte < ada_kdb::journal::V2_MAGIC.len() {
-        // A flip inside the format magic downgrades the file to the
-        // unframed v1 reading, which has no checksums by construction —
-        // the only guarantee there is that neither mode panics.
-        let _ = replay_bytes(&image, RecoveryMode::Strict);
-        let _ = replay_bytes(&image, RecoveryMode::Salvage);
-        return;
-    }
     match replay_bytes(&image, RecoveryMode::Strict) {
         Ok(replayed) => {
             // A flip the framing cannot see must not change any op.
@@ -662,7 +655,12 @@ fn main() {
     };
     let mut rng = Rng(seed ^ 0xF11B);
     let mut flips = 0usize;
-    for byte in (0..golden.image.len()).step_by(flip_step) {
+    // The magic header is always attacked in full, whatever the stride.
+    let magic = V2_MAGIC.len();
+    let sampled = (0..golden.image.len())
+        .step_by(flip_step)
+        .filter(|&b| b >= magic);
+    for byte in (0..magic).chain(sampled) {
         check_bit_flip(seed, &golden, &golden_ops, byte, (rng.below(8)) as u8);
         flips += 1;
     }

@@ -15,7 +15,7 @@
 //! * `calibrate` — developer aid: prints the generator's realized
 //!   marginals for a parameter combination.
 //!
-//! Criterion benches: `kmeans` (Lloyd vs filtering vs bisecting),
+//! Criterion benches: `kmeans` (Lloyd vs filtering),
 //! `patterns` (Apriori vs FP-growth), `kdb` (insert/query/index/replay),
 //! `vsm` (build + weighting variants), `partial` (subset-mining speedup).
 

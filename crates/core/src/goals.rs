@@ -15,14 +15,13 @@
 
 use ada_mining::tree::{DecisionTree, TreeConfig};
 use ada_vsm::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 use crate::characterize::DatasetDescriptor;
 
 /// The analysis end-goals of the paper's introduction: discovering
 /// patient groups, commonly prescribed examinations, compliance/outcome
 /// signals, drug/condition interactions, and resource planning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EndGoal {
     /// "Discover groups of patients with similar clinical history"
     /// (clustering).
@@ -88,7 +87,7 @@ impl std::fmt::Display for EndGoal {
 }
 
 /// One goal's viability verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoalViability {
     /// The goal under test.
     pub goal: EndGoal,
@@ -174,7 +173,7 @@ pub fn viability(d: &DatasetDescriptor) -> Vec<GoalViability> {
 /// A past interaction: descriptor features of a dataset and the goal the
 /// user ultimately pursued (read back from K-DB feedback in the
 /// pipeline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionExample {
     /// [`DatasetDescriptor::feature_vector`] of the session's dataset.
     pub features: Vec<f64>,
@@ -184,7 +183,7 @@ pub struct SessionExample {
 
 /// The end-goal interest model: a decision tree over descriptor features
 /// predicting which goal a user will choose.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoalInterestModel {
     tree: DecisionTree,
     num_features: usize,

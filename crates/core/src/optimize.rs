@@ -50,12 +50,11 @@ use ada_mining::knn::KnnClassifier;
 use ada_mining::tree::{Presorted, TreeConfig};
 use ada_mining::validate;
 use ada_vsm::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 use crate::control::{PipelineError, PipelineStage, RunControl};
 
 /// Which classifier scores clustering robustness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RobustnessClassifier {
     /// CART decision tree (the paper's choice).
     DecisionTree(TreeConfig),
@@ -69,7 +68,7 @@ pub enum RobustnessClassifier {
 }
 
 /// The score card of one K value — one row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KEvaluation {
     /// The number of clusters.
     pub k: usize,
@@ -95,7 +94,7 @@ impl KEvaluation {
 }
 
 /// The optimizer's full report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerReport {
     /// One evaluation per probed K, in the probed order.
     pub evaluations: Vec<KEvaluation>,
@@ -144,7 +143,7 @@ impl OptimizerReport {
 }
 
 /// The K-sweep optimizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Optimizer {
     /// K values to evaluate (paper Table I: 6,7,8,9,10,12,15,20).
     pub ks: Vec<usize>,

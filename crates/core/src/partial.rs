@@ -42,12 +42,11 @@ use ada_vsm::{DenseMatrix, VsmBuilder, Weighting};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::control::{PipelineError, PipelineStage, RunControl};
 
 /// Result of one partial-mining step (one subset size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepResult {
     /// Fraction of the growth axis included (exam types or patients).
     pub fraction: f64,
@@ -92,7 +91,7 @@ impl StepResult {
 }
 
 /// The report of an adaptive partial-mining run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialMiningReport {
     /// One entry per step, in growth order (last step = full data).
     pub steps: Vec<StepResult>,
@@ -137,7 +136,7 @@ fn select_step(steps: &[StepResult], epsilon: f64) -> usize {
 
 /// The paper's horizontal partial miner: grows the examination-type
 /// subset along decreasing record frequency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HorizontalPartialMiner {
     /// Exam-type fractions to probe, ascending; 1.0 is appended when
     /// missing (the full-data reference run).
@@ -373,7 +372,7 @@ impl HorizontalPartialMiner {
 }
 
 /// Vertical partial miner: grows a seeded random *patient* sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerticalPartialMiner {
     /// Patient fractions to probe, ascending; 1.0 appended when missing.
     pub fractions: Vec<f64>,

@@ -27,7 +27,6 @@ use ada_mining::kmeans::KMeans;
 use ada_mining::patterns::rules::{format_rule, Rule};
 use ada_mining::patterns::{fpgrowth, relative_min_support, rules};
 use ada_vsm::VsmBuilder;
-use serde::{Deserialize, Serialize};
 
 use crate::annotator::SimulatedPhysician;
 use crate::characterize::DatasetDescriptor;
@@ -99,7 +98,7 @@ impl AdaHealthConfig {
 }
 
 /// A stored cluster summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSummary {
     /// Cluster index within the final clustering.
     pub cluster: usize,

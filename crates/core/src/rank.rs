@@ -17,10 +17,9 @@
 use ada_kdb::schema::Interestingness;
 use ada_mining::tree::{DecisionTree, TreeConfig};
 use ada_vsm::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a knowledge item (which miner produced it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ItemKind {
     /// A patient cluster.
     Cluster,
@@ -42,7 +41,7 @@ impl ItemKind {
 }
 
 /// A knowledge item as seen by the ranker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnowledgeItem {
     /// Caller-side identifier (e.g. the K-DB document id).
     pub id: u64,

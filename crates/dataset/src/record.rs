@@ -7,22 +7,16 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::date::Date;
 use crate::error::DatasetError;
 use crate::taxonomy::ConditionGroup;
 
 /// Dense, zero-based identifier of a patient within an [`crate::ExamLog`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PatientId(pub u32);
 
 /// Dense, zero-based identifier of an examination type within the catalog.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ExamTypeId(pub u32);
 
 impl PatientId {
@@ -54,7 +48,7 @@ impl fmt::Display for ExamTypeId {
 }
 
 /// A patient in the anonymized cohort.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Patient {
     /// Dense identifier of this patient.
     pub id: PatientId,
@@ -78,7 +72,7 @@ impl Patient {
 /// An examination type from the hospital's catalog (159 types in the
 /// paper's cohort), annotated with the condition group it belongs to so
 /// that multi-level pattern mining can generalize items.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExamType {
     /// Dense identifier of this exam type.
     pub id: ExamTypeId,
@@ -101,7 +95,7 @@ impl ExamType {
 
 /// One row of the examination log: patient `patient` underwent an exam of
 /// type `exam` on day `date`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExamRecord {
     /// The patient who underwent the exam.
     pub patient: PatientId,

@@ -7,12 +7,10 @@
 //! higher-level descriptor object lives in `ada-core::characterize`; this
 //! module computes the underlying numbers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::ExamLog;
 
 /// Aggregate statistics of an examination log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogSummary {
     /// Number of patients in the registry.
     pub num_patients: usize,

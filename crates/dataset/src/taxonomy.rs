@@ -15,8 +15,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::record::{ExamType, ExamTypeId};
 
 /// Mid-level taxonomy node: the medical condition a group of exams
@@ -24,7 +22,7 @@ use crate::record::{ExamType, ExamTypeId};
 /// the paper mentions for overt diabetes (regular checkups plus specific
 /// diagnostic tests for complications of varying severity, e.g.
 /// cardiovascular complications and blindness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ConditionGroup {
     /// Routine diabetes follow-up: glucose, HbA1c, standard visits.
     GlycemicControl,
@@ -119,7 +117,7 @@ impl std::str::FromStr for ConditionGroup {
 }
 
 /// Top-level taxonomy node: the broad clinical domain of an exam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Domain {
     /// Scheduled diabetes follow-up activity.
     Routine,
@@ -163,7 +161,7 @@ impl fmt::Display for Domain {
 
 /// A materialized taxonomy over a concrete exam catalog: maps every
 /// exam-type id to its condition group and clinical domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Taxonomy {
     groups: Vec<ConditionGroup>,
 }

@@ -8,14 +8,13 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{ExamLog, Visit};
 use crate::date::Date;
 use crate::record::{ExamRecord, PatientId};
 
 /// One patient's visits in chronological order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     /// The patient.
     pub patient: PatientId,
@@ -81,7 +80,7 @@ pub fn monthly_volume(log: &ExamLog, year: u16) -> [usize; 12] {
 }
 
 /// Summary of inter-visit gaps across the whole cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GapSummary {
     /// Number of gaps measured.
     pub count: usize,

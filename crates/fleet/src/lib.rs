@@ -6,7 +6,7 @@
 //! The paper's service analyses one hospital's data on one box. A
 //! production deployment cannot afford that box being a single point of
 //! failure, so this crate turns the single-node service into a small
-//! replicated fleet built directly on the K-DB v2 journal:
+//! replicated fleet built directly on the K-DB journal:
 //!
 //! * [`stream`] — [`ReplStream`], the follower's sticky frame decoder:
 //!   shipped journal bytes in, CRC-verified [`ada_kdb::journal::Op`]s

@@ -1,6 +1,6 @@
 //! The primary's half of journal replication.
 //!
-//! [`ReplSource`] implements [`JournalTap`]: it observes every v2
+//! [`ReplSource`] implements [`JournalTap`]: it observes every
 //! journal append, fsync, and compaction on the primary's
 //! [`SharedKdb`](ada_kdb::SharedKdb) and turns them into an ordered
 //! queue of [`ReplMsg`]s. Tap callbacks run under the journal mutex, so

@@ -1,6 +1,6 @@
 //! Incremental, verified decoding of a replicated journal-frame stream.
 //!
-//! The primary ships its v2 journal frames (`R<len>:<seq>:<crc32>:`)
+//! The primary ships its journal frames (`R<len>:<seq>:<crc32>:`)
 //! verbatim; the network chunks them arbitrarily. [`ReplStream`] buffers
 //! those chunks and yields fully verified [`Op`]s one at a time, with
 //! the journal's own discipline:

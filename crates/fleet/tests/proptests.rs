@@ -13,7 +13,7 @@ use ada_kdb::{Document, MemStorage, SharedKdb, StoreOptions, Value};
 use ada_obs::ReplMetrics;
 use proptest::prelude::*;
 
-/// Encodes one journal v2 frame exactly as the primary ships it.
+/// Encodes one journal frame exactly as the primary ships it.
 fn frame(seq: u64, op: &Op) -> Vec<u8> {
     let mut payload = String::new();
     op.encode_into(&mut payload);

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use serde::{Deserialize, Serialize};
-
 use crate::document::{Document, Value};
 use crate::error::KdbError;
 use crate::index::Index;
@@ -14,7 +12,7 @@ use crate::query::Filter;
 pub type DocId = u64;
 
 /// A named set of documents with optional secondary indexes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Collection {
     name: String,
     docs: BTreeMap<DocId, Document>,

@@ -1,24 +1,19 @@
 //! Append-only journal persistence with crash recovery.
 //!
 //! Every mutation of a persistent [`crate::Kdb`] is appended as one
-//! operation record. Two on-disk formats coexist:
+//! operation record. The file starts with [`V2_MAGIC`] and each record
+//! is a frame `R<len>:<seq>:<crc32-hex>:<payload>` — a payload byte
+//! length, a monotonic record sequence number (= record index), and a
+//! CRC32 of the payload. Replay distinguishes a *torn tail* (the bytes
+//! simply end mid-frame or mid-magic — truncated away, as a crash
+//! mid-write would leave) from *corruption* (a wrong magic, or a
+//! complete frame whose CRC, sequence, or payload is wrong — reported
+//! with byte offset and record index, or salvaged under
+//! [`RecoveryMode::Salvage`]).
 //!
-//! * **v1** (legacy, unframed): the raw self-delimiting op encoding,
-//!   back to back. The only detectable failure is a torn final record.
-//! * **v2** (framed): the file starts with [`V2_MAGIC`] and each record
-//!   is a frame `R<len>:<seq>:<crc32-hex>:<payload>` — a payload byte
-//!   length, a monotonic record sequence number (= record index), and a
-//!   CRC32 of the payload. Replay distinguishes a *torn tail* (the
-//!   bytes simply end mid-frame — truncated away, as a crash mid-write
-//!   would leave) from *mid-file corruption* (a complete frame whose
-//!   CRC, sequence, or payload is wrong — reported with byte offset and
-//!   record index, or salvaged under [`RecoveryMode::Salvage`]).
-//!
-//! v1 journals stay readable and are upgraded to v2 by the next
-//! snapshot compaction ([`Journal::rewrite`] always writes v2). All I/O
-//! flows through the [`crate::storage::Storage`] traits so disk faults
-//! are injectable in tests; a [`DurabilityPolicy`] decides when appends
-//! are fsynced.
+//! All I/O flows through the [`crate::storage::Storage`] traits so disk
+//! faults are injectable in tests; a [`DurabilityPolicy`] decides when
+//! appends are fsynced.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -29,20 +24,10 @@ use crate::document::{Document, Value};
 use crate::error::KdbError;
 use crate::storage::{FileStorage, Storage, StorageFile};
 
-/// Magic bytes opening a v2 framed journal. `A` is not a valid v1 op
-/// tag, so the formats cannot be confused.
+/// Magic bytes opening every journal file.
 pub const V2_MAGIC: &[u8] = b"ADAJ2\n";
 
-/// The on-disk format of a journal file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalVersion {
-    /// Unframed op stream (legacy).
-    V1,
-    /// Framed records with length, sequence number and CRC32.
-    V2,
-}
-
-/// How replay reacts to mid-file corruption of a v2 journal.
+/// How replay reacts to corruption of a journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryMode {
     /// Fail the open with [`KdbError::Corrupt`] (byte offset + record
@@ -101,7 +86,7 @@ const fn crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc_table();
 
-/// CRC32 (IEEE) of `bytes` — the v2 frame checksum.
+/// CRC32 (IEEE) of `bytes` — the frame checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -251,10 +236,10 @@ impl Op {
 }
 
 // ---------------------------------------------------------------------
-// v2 frames.
+// Frames.
 // ---------------------------------------------------------------------
 
-/// Appends the v2 frame for `payload` (an encoded op) to `out`.
+/// Appends the frame for `payload` (an encoded op) to `out`.
 fn encode_frame(payload: &[u8], seq: u64, out: &mut Vec<u8>) {
     out.push(b'R');
     out.extend_from_slice(payload.len().to_string().as_bytes());
@@ -298,7 +283,7 @@ fn take_frame_number(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64, F
     Ok(n)
 }
 
-/// Decodes one v2 frame at `*pos`, checking length, sequence and CRC.
+/// Decodes one frame at `*pos`, checking length, sequence and CRC.
 fn decode_frame(bytes: &[u8], pos: &mut usize, expect_seq: u64) -> Result<Op, FrameFail> {
     if bytes[*pos] != b'R' {
         return Err(FrameFail::Corrupt(format!(
@@ -346,7 +331,7 @@ fn decode_frame(bytes: &[u8], pos: &mut usize, expect_seq: u64) -> Result<Op, Fr
     Ok(op)
 }
 
-/// A mid-file corruption localized by v2 replay.
+/// A corruption localized by replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptionReport {
     /// Byte offset of the corrupt record's frame start.
@@ -367,55 +352,33 @@ pub struct Replay {
     pub valid_len: u64,
     /// Whether anything past `valid_len` must be truncated away.
     pub truncated: bool,
-    /// The format the file was found in.
-    pub version: JournalVersion,
-    /// Mid-file corruption salvaged under [`RecoveryMode::Salvage`]
-    /// (`None` on clean or merely torn journals).
+    /// Corruption salvaged under [`RecoveryMode::Salvage`] (`None` on
+    /// clean or merely torn journals).
     pub corruption: Option<CorruptionReport>,
 }
 
-/// Decodes journal `bytes` (either format), tolerating a torn final
-/// record; see [`RecoveryMode`] for corruption handling.
+/// Decodes journal `bytes`, tolerating a torn final record (or a torn
+/// magic header: a file that is a proper prefix of [`V2_MAGIC`]); see
+/// [`RecoveryMode`] for corruption handling.
 ///
 /// # Errors
-/// Returns [`KdbError::Corrupt`] under [`RecoveryMode::Strict`] when a
-/// v2 journal is corrupt mid-file.
+/// Returns [`KdbError::Corrupt`] under [`RecoveryMode::Strict`] when the
+/// journal is corrupt — including a file that does not start with
+/// [`V2_MAGIC`], which is corruption at offset 0.
 pub fn replay_bytes(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
-    if bytes.starts_with(V2_MAGIC) {
-        return replay_v2(bytes, mode);
-    }
-    // v1: unframed op stream; any decode failure is treated as a torn
-    // tail (v1 cannot localize corruption — that is why v2 exists).
     let mut ops = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        if pos >= bytes.len() {
+    if !bytes.starts_with(V2_MAGIC) {
+        if V2_MAGIC.starts_with(bytes) {
+            // Empty, or a crash while the header was being stamped.
             return Ok(Replay {
                 ops,
-                valid_len: pos as u64,
-                truncated: false,
-                version: JournalVersion::V1,
+                valid_len: 0,
+                truncated: !bytes.is_empty(),
                 corruption: None,
             });
         }
-        let mark = pos;
-        match Op::decode_prefix(bytes, &mut pos) {
-            Ok(op) => ops.push(op),
-            Err(_) => {
-                return Ok(Replay {
-                    ops,
-                    valid_len: mark as u64,
-                    truncated: true,
-                    version: JournalVersion::V1,
-                    corruption: None,
-                });
-            }
-        }
+        return corrupt(mode, ops, 0, "missing journal magic".into());
     }
-}
-
-fn replay_v2(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
-    let mut ops = Vec::new();
     let mut pos = V2_MAGIC.len();
     loop {
         if pos >= bytes.len() {
@@ -423,7 +386,6 @@ fn replay_v2(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
                 ops,
                 valid_len: pos as u64,
                 truncated: false,
-                version: JournalVersion::V2,
                 corruption: None,
             });
         }
@@ -434,44 +396,50 @@ fn replay_v2(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
                 return Ok(Replay {
                     valid_len: mark as u64,
                     truncated: true,
-                    version: JournalVersion::V2,
                     corruption: None,
                     ops,
                 });
             }
-            Err(fail) => {
-                let reason = match fail {
-                    FrameFail::Corrupt(reason) => reason,
-                    FrameFail::Gap { stored, expected } => {
-                        format!("sequence gap (stored {stored}, expected {expected})")
-                    }
-                    FrameFail::Torn => unreachable!("handled above"),
-                };
-                let record = ops.len();
-                return match mode {
-                    RecoveryMode::Strict => Err(KdbError::Corrupt {
-                        offset: mark as u64,
-                        record,
-                        reason,
-                    }),
-                    RecoveryMode::Salvage => Ok(Replay {
-                        valid_len: mark as u64,
-                        truncated: true,
-                        version: JournalVersion::V2,
-                        corruption: Some(CorruptionReport {
-                            offset: mark as u64,
-                            record,
-                            reason,
-                        }),
-                        ops,
-                    }),
-                };
+            Err(FrameFail::Corrupt(reason)) => return corrupt(mode, ops, mark, reason),
+            Err(FrameFail::Gap { stored, expected }) => {
+                let reason = format!("sequence gap (stored {stored}, expected {expected})");
+                return corrupt(mode, ops, mark, reason);
             }
         }
     }
 }
 
-/// The outcome of decoding one v2 frame from an incremental byte
+/// The replay outcome for corruption at byte `offset`, after `ops`
+/// decoded cleanly: an error under [`RecoveryMode::Strict`], the valid
+/// prefix plus a report under [`RecoveryMode::Salvage`].
+fn corrupt(
+    mode: RecoveryMode,
+    ops: Vec<Op>,
+    offset: usize,
+    reason: String,
+) -> Result<Replay, KdbError> {
+    let offset = offset as u64;
+    let record = ops.len();
+    match mode {
+        RecoveryMode::Strict => Err(KdbError::Corrupt {
+            offset,
+            record,
+            reason,
+        }),
+        RecoveryMode::Salvage => Ok(Replay {
+            valid_len: offset,
+            truncated: true,
+            corruption: Some(CorruptionReport {
+                offset,
+                record,
+                reason,
+            }),
+            ops,
+        }),
+    }
+}
+
+/// The outcome of decoding one frame from an incremental byte
 /// stream — the journal's frame discipline exposed for consumers that
 /// receive frames a chunk at a time (journal replication ships the
 /// framed bytes verbatim; see `ada-fleet`).
@@ -504,7 +472,7 @@ pub enum FrameStep {
     },
 }
 
-/// Decodes the v2 frame starting at `pos` in `bytes`, expecting
+/// Decodes the frame starting at `pos` in `bytes`, expecting
 /// sequence number `expect_seq`. Exactly the verification journal
 /// replay performs — length, sequence, CRC32, payload decode, no
 /// trailing bytes — but incremental: a torn tail is [`FrameStep::NeedMore`]
@@ -529,7 +497,7 @@ pub fn decode_stream_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> FrameSt
 /// thread: implementations must only enqueue (copy bytes, bump
 /// atomics) and never block or call back into the store.
 pub trait JournalTap: Send + Sync + std::fmt::Debug {
-    /// A v2 frame was written and flushed (not necessarily fsynced):
+    /// A frame was written and flushed (not necessarily fsynced):
     /// `seq` is its sequence number, `frame` the exact on-disk bytes.
     fn frame_appended(&self, seq: u64, frame: &[u8]);
 
@@ -550,7 +518,7 @@ pub trait JournalTap: Send + Sync + std::fmt::Debug {
 ///
 /// # Errors
 /// Returns [`KdbError::Io`] on filesystem failures or
-/// [`KdbError::Corrupt`] on mid-file corruption.
+/// [`KdbError::Corrupt`] on corruption.
 pub fn replay(path: &Path) -> Result<Replay, KdbError> {
     replay_with(&FileStorage, path, RecoveryMode::Strict)
 }
@@ -559,7 +527,7 @@ pub fn replay(path: &Path) -> Result<Replay, KdbError> {
 ///
 /// # Errors
 /// Returns [`KdbError::Io`] on storage failures or
-/// [`KdbError::Corrupt`] on mid-file corruption in strict mode.
+/// [`KdbError::Corrupt`] on corruption in strict mode.
 pub fn replay_with(
     storage: &dyn Storage,
     path: &Path,
@@ -574,7 +542,6 @@ pub struct Journal {
     path: PathBuf,
     storage: Arc<dyn Storage>,
     file: Box<dyn StorageFile>,
-    version: JournalVersion,
     next_seq: u64,
     durability: DurabilityPolicy,
     /// Ops appended (acknowledged) since open.
@@ -615,9 +582,8 @@ impl Journal {
     }
 
     /// [`Journal::open`] through an arbitrary backend and durability
-    /// policy. New (or empty) journals are created v2; existing files
-    /// keep their format so a v1 journal is never rewritten in place —
-    /// the upgrade happens at the next [`Journal::rewrite`].
+    /// policy. A new (or emptied) file is stamped with [`V2_MAGIC`];
+    /// appends to an existing one continue its sequence numbering.
     ///
     /// # Errors
     /// Returns [`KdbError::Io`] on storage failures.
@@ -627,23 +593,18 @@ impl Journal {
         valid_len: Option<u64>,
         durability: DurabilityPolicy,
     ) -> Result<Self, KdbError> {
-        // Determine the format and next sequence number from the valid
-        // prefix (salvage-mode scan: the prefix below `valid_len` is
-        // already known clean, so this cannot error).
-        let (version, next_seq) = if storage.exists(path) {
-            let mut bytes = storage.read(path)?;
-            if let Some(len) = valid_len {
-                bytes.truncate(usize::try_from(len).unwrap_or(usize::MAX));
-            }
-            if bytes.is_empty() {
-                (JournalVersion::V2, 0)
-            } else {
-                let replayed = replay_bytes(&bytes, RecoveryMode::Salvage)?;
-                (replayed.version, replayed.ops.len() as u64)
-            }
+        // Determine the next sequence number from the valid prefix
+        // (salvage-mode scan: the prefix below `valid_len` is already
+        // known clean, so this cannot error).
+        let mut bytes = if storage.exists(path) {
+            storage.read(path)?
         } else {
-            (JournalVersion::V2, 0)
+            Vec::new()
         };
+        if let Some(len) = valid_len {
+            bytes.truncate(usize::try_from(len).unwrap_or(usize::MAX));
+        }
+        let next_seq = replay_bytes(&bytes, RecoveryMode::Salvage)?.ops.len() as u64;
         let mut file = storage.open_append(path, valid_len)?;
         if valid_len.is_some() {
             // A torn tail was truncated away: make the truncation
@@ -654,7 +615,6 @@ impl Journal {
             path: path.to_path_buf(),
             storage,
             file,
-            version,
             next_seq,
             durability,
             appended: 0,
@@ -665,9 +625,9 @@ impl Journal {
             poisoned: None,
             tap: None,
         };
-        if journal.version == JournalVersion::V2 && journal.next_seq == 0 {
-            // New or emptied file: stamp the magic (idempotent — a
-            // truncate-to-zero recovery lands here too).
+        if bytes.is_empty() {
+            // New or emptied file: stamp the magic (a truncate-to-zero
+            // recovery lands here too).
             journal.file.append(V2_MAGIC)?;
             journal.file.flush()?;
         }
@@ -677,11 +637,6 @@ impl Journal {
     /// The journal file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The on-disk format this journal is appending in.
-    pub fn version(&self) -> JournalVersion {
-        self.version
     }
 
     /// The active durability policy.
@@ -715,8 +670,6 @@ impl Journal {
     }
 
     /// Installs (or removes) the [`JournalTap`] observing this journal.
-    /// Only v2 appends are tapped — a legacy v1 file has no frames to
-    /// ship; it gains them at its next [`Journal::rewrite`].
     pub fn set_tap(&mut self, tap: Option<Arc<dyn JournalTap>>) {
         self.tap = tap;
     }
@@ -750,26 +703,16 @@ impl Journal {
         }
         let mut payload = String::new();
         op.encode_into(&mut payload);
-        let mut framed = None;
-        let wrote = match self.version {
-            JournalVersion::V1 => self.file.append(payload.as_bytes()),
-            JournalVersion::V2 => {
-                let mut frame = Vec::with_capacity(payload.len() + 40);
-                encode_frame(payload.as_bytes(), self.next_seq, &mut frame);
-                let res = self.file.append(&frame);
-                framed = Some(frame);
-                res
-            }
-        }
-        .and_then(|()| self.file.flush());
-        if let Err(e) = wrote {
+        let mut frame = Vec::with_capacity(payload.len() + 40);
+        encode_frame(payload.as_bytes(), self.next_seq, &mut frame);
+        if let Err(e) = self.file.append(&frame).and_then(|()| self.file.flush()) {
             // The record may be partially on disk; refuse further
             // appends so replay-valid frames never follow a torn one.
             self.poisoned = Some(e.to_string());
             return Err(e);
         }
-        if let (Some(tap), Some(frame)) = (&self.tap, &framed) {
-            tap.frame_appended(self.next_seq, frame);
+        if let Some(tap) = &self.tap {
+            tap.frame_appended(self.next_seq, &frame);
         }
         self.next_seq += 1;
         self.appended += 1;
@@ -811,10 +754,9 @@ impl Journal {
     }
 
     /// Atomically replaces the journal contents with the given op
-    /// sequence (snapshot compaction): writes a v2 temp file, fsyncs
-    /// it, renames over the original, and fsyncs the parent directory
-    /// so the rename itself survives a crash. A v1 journal is upgraded
-    /// to v2 here.
+    /// sequence (snapshot compaction): writes a temp file, fsyncs it,
+    /// renames over the original, and fsyncs the parent directory so
+    /// the rename itself survives a crash.
     ///
     /// # Errors
     /// Returns [`KdbError::Io`] on storage failures. A failed rewrite
@@ -865,7 +807,6 @@ impl Journal {
         self.storage.rename(&tmp, &self.path)?;
         self.storage.sync_dir(&self.path)?;
         self.file = self.storage.open_append(&self.path, None)?;
-        self.version = JournalVersion::V2;
         self.next_seq = ops.len() as u64;
         self.pending = 0;
         self.last_sync = Instant::now();
@@ -910,15 +851,6 @@ mod tests {
         ]
     }
 
-    /// A v1-format journal image for compatibility tests.
-    fn v1_image(ops: &[Op]) -> Vec<u8> {
-        let mut buf = String::new();
-        for op in ops {
-            op.encode_into(&mut buf);
-        }
-        buf.into_bytes()
-    }
-
     #[test]
     fn crc32_matches_the_reference_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -943,14 +875,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let mut j = Journal::open(&path, None).unwrap();
-            assert_eq!(j.version(), JournalVersion::V2);
             for op in ops_sample() {
                 j.append(&op).unwrap();
             }
         }
         let replayed = replay(&path).unwrap();
         assert_eq!(replayed.ops, ops_sample());
-        assert_eq!(replayed.version, JournalVersion::V2);
         assert!(!replayed.truncated);
         std::fs::remove_file(&path).ok();
     }
@@ -1030,46 +960,6 @@ mod tests {
         assert!(salvage.truncated);
         assert_eq!(salvage.ops.len(), *record, "valid prefix recovered");
         assert_eq!(salvage.ops[..], ops_sample()[..*record]);
-    }
-
-    #[test]
-    fn v1_journals_replay_and_append_in_v1() {
-        let mem = MemStorage::new();
-        let path = Path::new("legacy");
-        mem.install(path, v1_image(&ops_sample()[..3]));
-        let replayed = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
-        assert_eq!(replayed.version, JournalVersion::V1);
-        assert_eq!(replayed.ops, ops_sample()[..3].to_vec());
-        // Appends continue unframed so the file stays single-format.
-        {
-            let mut j = Journal::open_with(
-                Arc::new(mem.clone()),
-                path,
-                None,
-                DurabilityPolicy::default(),
-            )
-            .unwrap();
-            assert_eq!(j.version(), JournalVersion::V1);
-            j.append(&ops_sample()[3]).unwrap();
-        }
-        let again = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
-        assert_eq!(again.version, JournalVersion::V1);
-        assert_eq!(again.ops, ops_sample()[..4].to_vec());
-        // Rewrite upgrades to v2.
-        {
-            let mut j = Journal::open_with(
-                Arc::new(mem.clone()),
-                path,
-                None,
-                DurabilityPolicy::default(),
-            )
-            .unwrap();
-            j.rewrite(&ops_sample()).unwrap();
-            assert_eq!(j.version(), JournalVersion::V2);
-        }
-        let upgraded = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
-        assert_eq!(upgraded.version, JournalVersion::V2);
-        assert_eq!(upgraded.ops, ops_sample());
     }
 
     #[test]

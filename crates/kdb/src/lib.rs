@@ -53,7 +53,7 @@ pub use collection::{Collection, DocId};
 pub use document::{Document, Value};
 pub use error::KdbError;
 pub use find::{count_by, find_with, FindOptions, Order};
-pub use journal::{CorruptionReport, DurabilityPolicy, JournalTap, JournalVersion, RecoveryMode};
+pub use journal::{CorruptionReport, DurabilityPolicy, JournalTap, RecoveryMode};
 pub use query::Filter;
 pub use sharded::{
     CommitObserver, CommitRole, GroupCommitSnapshot, KdbRead, KdbSnapshot, KdbWrite, KdbWriter,

@@ -6,12 +6,10 @@
 //! strings compare lexicographically, and any type mismatch makes the
 //! comparison false (not an error).
 
-use serde::{Deserialize, Serialize};
-
 use crate::document::{Document, Value};
 
 /// A query filter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
     /// Matches every document.
     True,

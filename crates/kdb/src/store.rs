@@ -22,7 +22,7 @@ pub struct StoreOptions {
     /// When appended ops are fsynced.
     pub durability: DurabilityPolicy,
     /// Strict (fail loudly) or salvage (recover prefix + quarantine)
-    /// on mid-file corruption.
+    /// on journal corruption.
     pub recovery: RecoveryMode,
 }
 
@@ -103,7 +103,8 @@ impl Kdb {
     ///
     /// # Errors
     /// Returns [`KdbError::Io`] on filesystem failures,
-    /// [`KdbError::Corrupt`] on mid-file corruption of a v2 journal, or
+    /// [`KdbError::Corrupt`] on a corrupt journal (including one that
+    /// lacks the [`crate::journal::V2_MAGIC`] header), or
     /// [`KdbError::Journal`] when a *replayed* operation is inconsistent
     /// (e.g. an insert into a collection that was never created).
     pub fn open(path: &Path) -> Result<Self, KdbError> {
@@ -402,8 +403,7 @@ impl Kdb {
     }
 
     /// Compacts the journal to the minimal op sequence reconstructing
-    /// the current state (upgrading v1 journals to v2). No-op for
-    /// in-memory stores.
+    /// the current state. No-op for in-memory stores.
     ///
     /// # Errors
     /// Returns journal I/O errors.

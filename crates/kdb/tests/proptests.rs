@@ -5,9 +5,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ada_kdb::journal::{
-    replay, replay_bytes, DurabilityPolicy, Journal, JournalVersion, Op, RecoveryMode, V2_MAGIC,
+    replay, replay_bytes, DurabilityPolicy, Journal, Op, RecoveryMode, V2_MAGIC,
 };
-use ada_kdb::{Collection, Document, Filter, Kdb, KdbError, MemStorage, StoreOptions, Value};
+use ada_kdb::{Collection, Document, Filter, Kdb, KdbError, MemStorage, Value};
 use proptest::prelude::*;
 
 /// Recursive strategy for arbitrary document values.
@@ -229,35 +229,27 @@ proptest! {
         let mut mutated = clean.clone();
         mutated[pos] = new_byte;
 
-        let strict = replay_bytes(&mutated, RecoveryMode::Strict);
-        if pos >= V2_MAGIC.len() {
-            // Inside the framed region a mutation must be rejected loudly
-            // or leave a clean prefix of the golden ops — never silently
-            // altered records.
-            match strict {
-                Err(KdbError::Corrupt { offset, .. }) => {
-                    prop_assert!(offset <= mutated.len() as u64);
-                }
-                Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
-                Ok(r) => {
-                    prop_assert!(r.ops.len() <= golden.len());
-                    prop_assert_eq!(
-                        &r.ops[..],
-                        &golden[..r.ops.len()],
-                        "mutation at byte {} silently altered ops",
-                        pos
-                    );
-                }
+        // Anywhere in the file — magic header included — a mutation
+        // must be rejected loudly or leave a clean prefix of the golden
+        // ops, never silently altered records.
+        match replay_bytes(&mutated, RecoveryMode::Strict) {
+            Err(KdbError::Corrupt { offset, .. }) => {
+                prop_assert!(offset <= mutated.len() as u64);
             }
-            let salvage = replay_bytes(&mutated, RecoveryMode::Salvage).unwrap();
-            prop_assert!(salvage.ops.len() <= golden.len());
-            prop_assert_eq!(&salvage.ops[..], &golden[..salvage.ops.len()]);
-        } else {
-            // Mutating the magic may downgrade the file to v1 parsing,
-            // which has no checksums by design; no-panic is the contract.
-            let _ = strict;
-            let _ = replay_bytes(&mutated, RecoveryMode::Salvage);
+            Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
+            Ok(r) => {
+                prop_assert!(r.ops.len() <= golden.len());
+                prop_assert_eq!(
+                    &r.ops[..],
+                    &golden[..r.ops.len()],
+                    "mutation at byte {} silently altered ops",
+                    pos
+                );
+            }
         }
+        let salvage = replay_bytes(&mutated, RecoveryMode::Salvage).unwrap();
+        prop_assert!(salvage.ops.len() <= golden.len());
+        prop_assert_eq!(&salvage.ops[..], &golden[..salvage.ops.len()]);
     }
 
     #[test]
@@ -268,47 +260,12 @@ proptest! {
         let mut pos = 0;
         let _ = Value::decode_prefix(&bytes, &mut pos);
         prop_assert!(pos <= bytes.len());
-        // Both as a bare op stream (v1 parse) and behind a v2 magic.
+        // Both as a raw file and behind the journal magic.
         let _ = replay_bytes(&bytes, RecoveryMode::Strict);
         let _ = replay_bytes(&bytes, RecoveryMode::Salvage);
         let mut framed = V2_MAGIC.to_vec();
         framed.extend_from_slice(&bytes);
         let _ = replay_bytes(&framed, RecoveryMode::Strict);
         let _ = replay_bytes(&framed, RecoveryMode::Salvage);
-    }
-
-    #[test]
-    fn v1_journal_opens_and_upgrades_to_v2(
-        docs in prop::collection::vec(document_strategy(), 1..6),
-    ) {
-        let mem = Arc::new(MemStorage::new());
-        let path = Path::new("legacy.journal");
-        let ops: Vec<Op> = std::iter::once(Op::CreateCollection { name: "c".into() })
-            .chain(docs.iter().enumerate().map(|(i, d)| Op::Insert {
-                name: "c".into(),
-                id: i as u64 + 1,
-                doc: d.clone(),
-            }))
-            .collect();
-        let mut v1 = String::new();
-        for op in &ops {
-            op.encode_into(&mut v1);
-        }
-        mem.install(path, v1.into_bytes());
-
-        let parsed = replay_bytes(&mem.bytes(path).unwrap(), RecoveryMode::Strict).unwrap();
-        prop_assert_eq!(parsed.version, JournalVersion::V1);
-        prop_assert_eq!(&parsed.ops[..], &ops[..]);
-
-        let mut db =
-            Kdb::open_with(path, StoreOptions::with_storage(mem.clone())).unwrap();
-        let before = db.fingerprint();
-        db.snapshot().unwrap();
-        let upgraded = replay_bytes(&mem.bytes(path).unwrap(), RecoveryMode::Strict).unwrap();
-        prop_assert_eq!(upgraded.version, JournalVersion::V2);
-        prop_assert!(!upgraded.truncated);
-
-        let reopened = Kdb::open_with(path, StoreOptions::with_storage(mem)).unwrap();
-        prop_assert_eq!(reopened.fingerprint(), before);
     }
 }

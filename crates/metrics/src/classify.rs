@@ -7,11 +7,9 @@
 //! for clustering robustness. "Average" is the unweighted (macro) mean
 //! over classes, the convention of the referenced toolchain.
 
-use serde::{Deserialize, Serialize};
-
 /// A k × k confusion matrix; `counts[t][p]` is the number of instances of
 /// true class `t` predicted as class `p`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     k: usize,
     counts: Vec<Vec<usize>>,

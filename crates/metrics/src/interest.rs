@@ -8,10 +8,8 @@
 //! leverage, conviction, Jaccard, cosine), computed from the three
 //! absolute counts and the collection size.
 
-use serde::{Deserialize, Serialize};
-
 /// The contingency counts of a rule `A → B` in `n` transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleCounts {
     /// Total number of transactions (n > 0 for meaningful measures).
     pub n: usize,

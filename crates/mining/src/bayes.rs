@@ -7,10 +7,9 @@
 //! smoothing; prediction maximizes the log joint.
 
 use ada_vsm::dense::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A fitted Gaussian naive Bayes model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianNb {
     /// Per-class log prior.
     log_prior: Vec<f64>,

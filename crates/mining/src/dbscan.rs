@@ -9,10 +9,9 @@
 
 use ada_vsm::dense::DenseMatrix;
 use ada_vsm::kdtree::{KdTree, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Label assigned to every point by DBSCAN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DbscanLabel {
     /// Not density-reachable from any core point.
     Noise,
@@ -31,7 +30,7 @@ pub struct Dbscan {
 }
 
 /// DBSCAN output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbscanResult {
     /// Per-point labels.
     pub labels: Vec<DbscanLabel>,

@@ -4,10 +4,9 @@ use ada_vsm::dense::{distance_sq, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How the initial centroids are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KMeansInit {
     /// Forgy: k distinct points picked uniformly at random.
     Forgy,

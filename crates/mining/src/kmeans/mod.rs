@@ -21,21 +21,18 @@
 //! ([`KMeans::threads`]) whose output is byte-identical to the serial
 //! path for every thread count.
 
-pub mod bisecting;
 pub mod filtering;
 pub mod init;
 pub(crate) mod kernel;
 pub mod lloyd;
-pub mod spherical;
 
 use ada_vsm::dense::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 pub use init::KMeansInit;
 pub use kernel::KernelStats;
 
 /// Which K-means backend executes the iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KMeansBackend {
     /// Classic Lloyd: every iteration scans every point.
     Lloyd,
@@ -57,7 +54,7 @@ pub enum KMeansBackend {
 /// assert_eq!(result.assignments[0], result.assignments[1]);
 /// assert_ne!(result.assignments[0], result.assignments[2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     /// Number of clusters.
     pub k: usize,
@@ -153,7 +150,7 @@ impl KMeans {
     }
 
     /// Runs the configured backend from explicit initial centroids
-    /// (used by tests and by bisecting K-means).
+    /// (warm starts: partial-mining ladders, stream refits, tests).
     ///
     /// # Panics
     /// Panics on shape mismatch between `matrix` and `centroids`.
@@ -207,7 +204,7 @@ impl KMeans {
 }
 
 /// The output of a K-means run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansResult {
     /// Cluster index of every input row.
     pub assignments: Vec<usize>,

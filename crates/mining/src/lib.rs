@@ -7,9 +7,9 @@
 //!
 //! * **Clustering** — K-means; its reference \[3\] is Kanungo et al.'s
 //!   kd-tree *filtering* algorithm, implemented in [`kmeans::filtering`]
-//!   next to the classic Lloyd iteration ([`kmeans::lloyd`]), bisecting
-//!   K-means ([`kmeans::bisecting`]) and DBSCAN ([`dbscan`]) as the
-//!   extension algorithms the architecture can swap in.
+//!   next to the classic Lloyd iteration ([`kmeans::lloyd`]), with
+//!   DBSCAN ([`dbscan`]) as the density-based extension algorithm the
+//!   architecture can swap in.
 //! * **Frequent-pattern discovery** — its reference \[2\] (MeTA) mines
 //!   medical treatments at multiple abstraction levels; [`patterns`]
 //!   implements Apriori, FP-growth, association-rule generation and a
@@ -26,7 +26,6 @@
 pub mod bayes;
 pub mod dbscan;
 pub mod forest;
-pub mod hierarchical;
 pub mod kmeans;
 pub mod knn;
 pub mod patterns;

@@ -9,15 +9,13 @@
 //! items and mined with FP-growth; itemsets that pair an item with its
 //! own ancestor (trivially implied) are pruned.
 
-use serde::{Deserialize, Serialize};
-
 use super::{fpgrowth, normalize_transaction, FrequentItemset, Item, Transaction};
 
 /// An item hierarchy: `parent[i]` is the parent of item `i`, or `None`
 /// at a root. Item ids must cover leaves and internal nodes in one dense
 /// space (e.g. exams `0..159`, condition groups `159..169`, domains
 /// `169..173`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemHierarchy {
     parent: Vec<Option<Item>>,
 }

@@ -9,8 +9,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use super::patterns::{Item, Itemset};
 
 /// One patient's timeline: visits in chronological order, each a sorted
@@ -18,7 +16,7 @@ use super::patterns::{Item, Itemset};
 pub type VisitSequence = Vec<Itemset>;
 
 /// A frequent sequential pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequentSequence {
     /// The ordered items (each step matched in a *distinct, later*
     /// visit).

@@ -40,10 +40,9 @@
 //! threshold) order.
 
 use ada_vsm::dense::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Split impurity criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Criterion {
     /// Gini impurity `1 − Σ pᵢ²` (CART default).
     Gini,
@@ -80,7 +79,7 @@ impl Criterion {
 }
 
 /// Decision-tree hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -103,7 +102,7 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         class: usize,
@@ -187,7 +186,7 @@ impl Presorted {
 }
 
 /// A fitted CART decision tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     num_classes: usize,

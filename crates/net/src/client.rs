@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 use ada_obs::{Log2Histogram, TraceContext};
 
 use crate::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC};
-use crate::metrics::{kind_index, REQUEST_KINDS};
-use crate::proto::{Request, Response, CONNECTION_ID};
+use crate::metrics::kind_index;
+use crate::proto::{Request, Response, CONNECTION_ID, REQUEST_KINDS};
 
 /// Client-side request-latency histograms, one per request kind.
 ///

@@ -346,8 +346,26 @@ pub enum Request {
     },
 }
 
+/// Every [`Request::kind`] tag, in the protocol's stable order: the
+/// per-kind labels of the server's and the client's request metrics.
+pub(crate) const REQUEST_KINDS: [&str; 12] = [
+    "submit",
+    "status",
+    "cancel",
+    "results",
+    "past_sessions",
+    "trace_query",
+    "health",
+    "metrics",
+    "stream_open",
+    "ingest",
+    "stream_query",
+    "stream_seal",
+];
+
 impl Request {
-    /// The request's kind tag (also the per-kind metrics label).
+    /// The request's kind tag (also the per-kind metrics label, one of
+    /// [`REQUEST_KINDS`]).
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Submit(_) => "submit",
@@ -907,6 +925,43 @@ mod tests {
             assert_eq!(id, i as u64 + 1);
             assert_eq!(back, req);
         }
+    }
+
+    #[test]
+    fn every_request_kind_is_a_metrics_label() {
+        let one_of_each = [
+            Request::Submit(WireJobSpec::quick("s", CohortSpec::small(7))),
+            Request::Status { session: 1 },
+            Request::Cancel { session: 1 },
+            Request::Results { session: 1 },
+            Request::PastSessions,
+            Request::TraceQuery { session: None },
+            Request::Health,
+            Request::MetricsSnapshot,
+            Request::StreamOpen {
+                stream: "feed".into(),
+                spec: StreamMiningSpec::quick(),
+            },
+            Request::Ingest {
+                stream: "feed".into(),
+                records: Vec::new(),
+            },
+            Request::StreamQuery {
+                stream: "feed".into(),
+            },
+            Request::StreamSeal {
+                stream: "feed".into(),
+            },
+        ];
+        for req in &one_of_each {
+            assert!(
+                REQUEST_KINDS.contains(&req.kind()),
+                "request kind {:?} is not counted in the metrics",
+                req.kind()
+            );
+        }
+        let kinds: Vec<_> = one_of_each.iter().map(Request::kind).collect();
+        assert_eq!(kinds, REQUEST_KINDS, "one label per kind, in order");
     }
 
     #[test]

@@ -1,26 +1,24 @@
 //! The bounded, prioritized job queue feeding the worker pool.
 //!
-//! Storage is a binary heap ordered by `(priority, submission order)`;
-//! a crossbeam channel carries wake-up tokens so workers block cheaply
-//! instead of spinning. The channel is strictly FIFO, which gives
-//! graceful shutdown for free: shutdown tokens sent after the last job
-//! token are only seen once every queued job has been drained.
+//! Storage is a binary heap ordered by `(priority, submission order)`
+//! behind one mutex; a condition variable wakes blocked workers. Closing
+//! the queue refuses new jobs but leaves the backlog in place, so
+//! workers drain every queued job before [`JobQueue::next`] tells them
+//! to stop.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::{Condvar, Mutex};
 
 use crate::job::Priority;
 
-/// What a worker wakes up to do.
-#[derive(Debug)]
-pub(crate) enum Token {
-    /// One job is available in the heap.
-    Job,
-    /// Stop after draining: the sender guarantees no Job token follows.
-    Shutdown,
+/// Why [`JobQueue::push`] refused a job.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// The queue is at capacity (backpressure; carries the capacity).
+    Full(usize),
+    /// [`JobQueue::close`] has been called.
+    Closed,
 }
 
 struct QueuedJob<T> {
@@ -50,76 +48,80 @@ impl<T> Ord for QueuedJob<T> {
     }
 }
 
-/// A bounded priority queue with channel-based worker wake-up.
+/// A bounded priority queue whose workers block until a job arrives.
 pub(crate) struct JobQueue<T> {
-    heap: Mutex<Heap<T>>,
+    state: Mutex<State<T>>,
+    ready: Condvar,
     capacity: usize,
-    wake_tx: Sender<Token>,
-    wake_rx: Receiver<Token>,
 }
 
-struct Heap<T> {
+struct State<T> {
     jobs: BinaryHeap<QueuedJob<T>>,
     next_seq: u64,
+    closed: bool,
 }
 
 impl<T> JobQueue<T> {
     pub(crate) fn bounded(capacity: usize) -> Self {
-        let (wake_tx, wake_rx) = unbounded();
         Self {
-            heap: Mutex::new(Heap {
+            state: Mutex::new(State {
                 jobs: BinaryHeap::new(),
                 next_seq: 0,
+                closed: false,
             }),
+            ready: Condvar::new(),
             capacity,
-            wake_tx,
-            wake_rx,
         }
     }
 
-    /// Enqueues a job, or refuses with the queue's capacity
-    /// (backpressure — the service layers a retry hint on top to build
-    /// the caller-facing `ServiceError::Busy`).
-    pub(crate) fn push(&self, priority: Priority, payload: T) -> Result<(), usize> {
-        let mut heap = self.heap.lock().expect("queue lock");
-        if heap.jobs.len() >= self.capacity {
-            return Err(self.capacity);
+    /// Enqueues a job, or refuses when the queue is full (backpressure
+    /// — the service layers a retry hint on top to build the
+    /// caller-facing `ServiceError::Busy`) or closed.
+    pub(crate) fn push(&self, priority: Priority, payload: T) -> Result<(), Refused> {
+        let mut state = self.state.lock().expect("queue lock");
+        if state.closed {
+            return Err(Refused::Closed);
         }
-        let seq = heap.next_seq;
-        heap.next_seq += 1;
-        heap.jobs.push(QueuedJob {
+        if state.jobs.len() >= self.capacity {
+            return Err(Refused::Full(self.capacity));
+        }
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        state.jobs.push(QueuedJob {
             priority,
             seq,
             payload,
         });
-        drop(heap);
-        self.wake_tx.send(Token::Job).expect("wake channel closed");
+        drop(state);
+        self.ready.notify_one();
         Ok(())
     }
 
-    /// Pops the highest-priority job, if any.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let mut heap = self.heap.lock().expect("queue lock");
-        heap.jobs.pop().map(|j| j.payload)
+    /// Blocks until a job is available and pops the highest-priority
+    /// one. Returns `None` only once the queue is closed **and** empty.
+    pub(crate) fn next(&self) -> Option<T> {
+        let mut state = self.state.lock().expect("queue lock");
+        loop {
+            if let Some(job) = state.jobs.pop() {
+                return Some(job.payload);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).expect("queue lock");
+        }
     }
 
     /// Current queue depth.
     pub(crate) fn len(&self) -> usize {
-        self.heap.lock().expect("queue lock").jobs.len()
+        self.state.lock().expect("queue lock").jobs.len()
     }
 
-    /// Blocks until a wake-up token arrives.
-    pub(crate) fn recv(&self) -> Token {
-        // The sender half lives in the same struct, so recv can only
-        // fail if the queue itself is being dropped mid-recv.
-        self.wake_rx.recv().unwrap_or(Token::Shutdown)
-    }
-
-    /// Tells `workers` workers to stop once the queue is drained.
-    pub(crate) fn send_shutdown(&self, workers: usize) {
-        for _ in 0..workers {
-            let _ = self.wake_tx.send(Token::Shutdown);
-        }
+    /// Refuses further jobs and wakes every worker; queued jobs are
+    /// still handed out by [`JobQueue::next`].
+    pub(crate) fn close(&self) {
+        self.state.lock().expect("queue lock").closed = true;
+        self.ready.notify_all();
     }
 }
 
@@ -134,7 +136,8 @@ mod tests {
         q.push(Priority::High, "high-1").unwrap();
         q.push(Priority::Normal, "norm-1").unwrap();
         q.push(Priority::High, "high-2").unwrap();
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        q.close();
+        let order: Vec<_> = std::iter::from_fn(|| q.next()).collect();
         assert_eq!(order, vec!["high-1", "high-2", "norm-1", "low-1"]);
     }
 
@@ -143,18 +146,36 @@ mod tests {
         let q = JobQueue::bounded(2);
         q.push(Priority::Normal, 1).unwrap();
         q.push(Priority::Normal, 2).unwrap();
-        assert_eq!(q.push(Priority::Normal, 3), Err(2));
+        assert_eq!(q.push(Priority::Normal, 3), Err(Refused::Full(2)));
         assert_eq!(q.len(), 2);
-        q.pop();
+        q.next();
         q.push(Priority::Normal, 3).unwrap();
     }
 
     #[test]
-    fn shutdown_tokens_arrive_after_job_tokens() {
+    fn close_refuses_new_jobs_but_drains_the_backlog() {
         let q = JobQueue::bounded(4);
-        q.push(Priority::Normal, ()).unwrap();
-        q.send_shutdown(1);
-        assert!(matches!(q.recv(), Token::Job));
-        assert!(matches!(q.recv(), Token::Shutdown));
+        q.push(Priority::Normal, 1).unwrap();
+        q.close();
+        assert_eq!(q.push(Priority::Normal, 2), Err(Refused::Closed));
+        assert_eq!(q.next(), Some(1));
+        assert_eq!(q.next(), None);
+    }
+
+    #[test]
+    fn blocked_workers_wake_for_jobs_and_for_close() {
+        let q = std::sync::Arc::new(JobQueue::bounded(4));
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let q = std::sync::Arc::clone(&q);
+                std::thread::spawn(move || std::iter::from_fn(|| q.next()).count())
+            })
+            .collect();
+        for job in 0..2 {
+            q.push(Priority::Normal, job).unwrap();
+        }
+        q.close();
+        let drained: usize = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert_eq!(drained, 2);
     }
 }

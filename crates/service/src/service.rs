@@ -30,7 +30,7 @@ use crate::cancel::CancelToken;
 use crate::error::ServiceError;
 use crate::job::{JobSpec, Workload};
 use crate::observer::{FanoutObserver, MetricsObserver, ServiceMetrics};
-use crate::queue::{JobQueue, Token};
+use crate::queue::{JobQueue, Refused};
 use crate::registry::{SessionId, SessionOutcome, SessionRegistry, SessionState};
 
 /// Deterministic capped exponential backoff for retried attempts.
@@ -302,12 +302,17 @@ impl AnalysisService {
         let token = spec.cancel.clone().unwrap_or_default();
         let id = self.inner.registry.register(&spec.config.session, token);
         let priority = spec.priority;
-        if let Err(capacity) = self.inner.queue.push(priority, (id, spec, Instant::now())) {
+        if let Err(refused) = self.inner.queue.push(priority, (id, spec, Instant::now())) {
             self.inner.registry.remove(id);
-            self.inner.metrics.job_rejected();
-            return Err(ServiceError::Busy {
-                capacity,
-                retry_after_hint: self.retry_after_hint(),
+            return Err(match refused {
+                Refused::Full(capacity) => {
+                    self.inner.metrics.job_rejected();
+                    ServiceError::Busy {
+                        capacity,
+                        retry_after_hint: self.retry_after_hint(),
+                    }
+                }
+                Refused::Closed => ServiceError::ShuttingDown,
             });
         }
         self.inner.metrics.job_submitted();
@@ -623,9 +628,8 @@ impl AnalysisService {
         if self.inner.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        // The wake channel is FIFO, so these land after every queued
-        // job's token: workers drain the backlog before stopping.
-        self.inner.queue.send_shutdown(self.workers.len());
+        // Workers drain the backlog before the closed queue stops them.
+        self.inner.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -737,15 +741,8 @@ fn maybe_force_slow_trace(inner: &ServiceInner, session: &str, elapsed: Duration
 }
 
 fn worker_loop(inner: &ServiceInner) {
-    loop {
-        match inner.queue.recv() {
-            Token::Shutdown => break,
-            Token::Job => {
-                if let Some((id, spec, queued_at)) = inner.queue.pop() {
-                    run_job(inner, id, spec, queued_at);
-                }
-            }
-        }
+    while let Some((id, spec, queued_at)) = inner.queue.next() {
+        run_job(inner, id, spec, queued_at);
     }
 }
 

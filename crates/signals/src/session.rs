@@ -31,14 +31,13 @@ use ada_dataset::taxonomy::ConditionGroup;
 use ada_dataset::{ExamLog, ExamTypeId};
 use ada_kdb::schema::{self, names};
 use ada_kdb::{Document, SharedKdb};
-use serde::{Deserialize, Serialize};
 
 use crate::ror::{self, RorEstimate};
 use crate::shrink::{self, ShrinkageFit};
 use crate::table::{CohortIndex, ContingencyTable, ExposurePair};
 
 /// Configuration of one safety-signal mining session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalConfig {
     /// Outcome condition groups to test every exposure against, in
     /// evaluation order.
@@ -80,7 +79,7 @@ impl Default for SignalConfig {
 }
 
 /// One ranked safety signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SafetySignal {
     /// Raw id of the exposure exam type.
     pub exposure_id: u32,
@@ -131,7 +130,7 @@ impl SafetySignal {
 }
 
 /// The raw mining result, before persistence and feedback.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalMiningReport {
     /// Ranked signals, best first, truncated to `max_signals`.
     pub signals: Vec<SafetySignal>,
@@ -146,7 +145,7 @@ pub struct SignalMiningReport {
 }
 
 /// The terminal report of a persisted safety-signal session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalSessionReport {
     /// Session name.
     pub session: String,

@@ -24,8 +24,6 @@
 //! iteration count — the `signals_shrinkage_iterations` counter is
 //! exact across serial, concurrent, and remote runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::ContingencyTable;
 
 /// Fixed-point iteration cap (reached only on pathological inputs).
@@ -37,7 +35,7 @@ const TOL: f64 = 1e-9;
 const PRIOR_RANGE: (f64, f64) = (1e-3, 1e3);
 
 /// A fitted Gamma(α, β) prior over the relative reporting ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShrinkageFit {
     /// Gamma shape.
     pub alpha: f64,

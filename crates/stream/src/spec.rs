@@ -1,8 +1,6 @@
 //! The service-facing workload surface: a serializable spec for a
 //! stream-mining session and the report it yields.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::StreamConfig;
 use crate::engine::StreamEngine;
 use crate::fingerprint::format_fp;
@@ -11,7 +9,7 @@ use crate::fingerprint::format_fp;
 /// the session's cohort through a [`StreamEngine`] in timestamp order
 /// (with seeded bounded disorder, exercising the reorder buffer) and
 /// reports the resulting live model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamMiningSpec {
     /// Window length in days.
     pub window_days: i64,
@@ -100,7 +98,7 @@ impl StreamMiningSpec {
 
 /// What a stream-mining session reports: the deterministic summary of
 /// the stream's final state (fingerprints stand in for the matrices).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamReport {
     /// Stream name.
     pub stream: String,

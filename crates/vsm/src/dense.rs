@@ -2,8 +2,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major dense `f64` matrix.
 ///
 /// At paper scale the VSM matrix is 6,380 × 159 ≈ 8 MB of `f64`, so a
@@ -17,13 +15,12 @@ use serde::{Deserialize, Serialize};
 /// across a whole K sweep (and every partial-mining subset built from
 /// the same matrix) and computed exactly once. Mutating accessors
 /// invalidate the cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
     /// Lazily computed `‖row‖²` per row; reset by any mutation.
-    #[serde(skip)]
     norms_sq: OnceLock<Vec<f64>>,
 }
 

@@ -11,14 +11,12 @@
 //! The tree owns a copy of the point set (flat row-major buffer); nodes
 //! live in an arena addressed by [`NodeId`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::dense::{distance_sq, DenseMatrix};
 
 /// Arena index of a kd-tree node.
 pub type NodeId = usize;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     /// Lower corner of the cell's bounding box.
     lo: Vec<f64>,
@@ -37,7 +35,7 @@ struct Node {
 }
 
 /// A kd-tree over a set of equal-dimension points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KdTree {
     dim: usize,
     points: Vec<f64>, // row-major copy, num_points × dim

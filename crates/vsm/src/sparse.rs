@@ -6,8 +6,6 @@
 //! metric, which is quadratic in cluster size — run on this
 //! representation.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse `f64` vector over a fixed dimension, stored as strictly
 /// increasing `(index, value)` pairs with no explicit zeros.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.nnz(), 2);
 /// assert_eq!(a.dot(&b), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseVec {
     dim: usize,
     entries: Vec<(u32, f64)>,
